@@ -77,12 +77,11 @@ flight, and drains gracefully on SIGTERM (``--drain-grace``).
 
 Both space commands accept ``--cache PATH``: a sqlite file that
 persists results across invocations, so re-running a sweep or timeline
-only pays for designs not seen before.  They also accept
-``--shared-memory`` (default) / ``--no-shared-memory``: with sharing
-on, the lower-layer aggregate table and the canonical per-pattern SRN
-structures are solved once and shared — published to process-pool
-workers over ``multiprocessing.shared_memory`` — instead of being
-re-solved per chunk; results are byte-identical either way.
+only pays for designs not seen before.  Both solve the lower-layer
+aggregate table and the canonical per-pattern SRN structures once per
+run and share them — published to process-pool workers over
+``multiprocessing.shared_memory`` — so results are byte-identical
+across executors.
 """
 
 from __future__ import annotations
@@ -202,7 +201,6 @@ def _space_engine_and_designs(args: argparse.Namespace, roles):
             case_study=case_study,
             executor=args.executor,
             max_workers=args.jobs,
-            structure_sharing=args.shared_memory,
             cache_path=cache_path,
         )
         return engine, [design], design.roles
@@ -221,7 +219,6 @@ def _space_engine_and_designs(args: argparse.Namespace, roles):
             executor=args.executor,
             max_workers=args.jobs,
             database=diversity_database(),
-            structure_sharing=args.shared_memory,
             cache_path=cache_path,
         )
         designs = enumerate_heterogeneous_designs(
@@ -235,7 +232,6 @@ def _space_engine_and_designs(args: argparse.Namespace, roles):
         engine = SweepEngine(
             executor=args.executor,
             max_workers=args.jobs,
-            structure_sharing=args.shared_memory,
             cache_path=cache_path,
         )
         designs = enumerate_designs(
@@ -491,7 +487,6 @@ def _serve(args: argparse.Namespace) -> int:
         service = EvaluationService(
             executor=args.executor,
             max_workers=args.jobs,
-            structure_sharing=args.shared_memory,
             cache_path=args.cache,
             lanes=args.lanes,
             max_designs=args.max_designs,
@@ -593,16 +588,14 @@ def main(argv: Sequence[str] | None = None) -> int:
         formatter_class=argparse.RawDescriptionHelpFormatter,
         epilog=(
             "structure sharing:\n"
-            "  'sweep' and 'timeline' run the structure-sharing pipeline by\n"
-            "  default (--shared-memory): the per-role Table V aggregates and\n"
-            "  one canonical SRN structure per transition pattern (counts\n"
-            "  multiset) are solved once and reused across the whole design\n"
-            "  space; with --executor process they are published to the pool\n"
+            "  'sweep' and 'timeline' solve the per-role Table V aggregates\n"
+            "  and one canonical SRN structure per transition pattern (counts\n"
+            "  multiset) once and reuse them across the whole design space;\n"
+            "  with --executor process they are published to the pool\n"
             "  workers through multiprocessing.shared_memory so chunks carry\n"
-            "  only designs.  --no-shared-memory re-solves everything per\n"
-            "  chunk (the benchmark baseline); results are byte-identical\n"
-            "  either way.  Persistent result caches (--cache PATH) are\n"
-            "  maintained with 'python -m repro cache stats|purge|trim'.\n"
+            "  only designs.  Results are byte-identical across executors.\n"
+            "  Persistent result caches (--cache PATH) are maintained with\n"
+            "  'python -m repro cache stats|purge|trim'.\n"
             "\n"
             "staged rollouts:\n"
             "  'timeline' models staged patch campaigns (canary -> ramp ->\n"
@@ -744,18 +737,6 @@ def main(argv: Sequence[str] | None = None) -> int:
                 "sqlite file persisting results across invocations; "
                 "repeated runs only pay for designs not cached yet "
                 "(maintain it with 'python -m repro cache')"
-            ),
-        )
-        command.add_argument(
-            "--shared-memory",
-            action=argparse.BooleanOptionalAction,
-            default=True,
-            help=(
-                "structure-sharing pipeline: solve the lower-layer "
-                "aggregates and the per-pattern SRN structures once and "
-                "share them (via multiprocessing.shared_memory for the "
-                "process executor) instead of re-solving per chunk; "
-                "results are byte-identical either way (default: on)"
             ),
         )
         command.add_argument(
@@ -918,12 +899,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         default=None,
         metavar="PATH",
         help="sqlite file persisting results across restarts",
-    )
-    serve.add_argument(
-        "--shared-memory",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="structure-sharing pipeline (see sweep --help; default: on)",
     )
     serve.add_argument(
         "--lanes",

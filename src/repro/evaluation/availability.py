@@ -1,6 +1,6 @@
 """Availability evaluation of designs (lower-layer solve + aggregation +
 upper-layer COA), with caching of the per-role and per-variant aggregates
-and structure sharing of the upper-layer SRN solves."""
+and of the per-pattern upper-layer SRN structures."""
 
 from __future__ import annotations
 
@@ -61,13 +61,12 @@ class AvailabilityEvaluator:
 
     The upper-layer COA solve goes through the canonical
     pattern-grouped pipeline (:mod:`repro.availability.grouped`): each
-    design maps onto the canonical layout of its transition pattern and,
-    with *structure_sharing* on, designs with the same counts multiset
-    share one reachability exploration and one
-    :class:`~repro.ctmc.steady.BatchSteadySolver` — bit-identical to
-    solving each design's canonical net on its own (the
-    ``structure_sharing=False`` path), because the shared structure is a
-    pure function of the layout.
+    design maps onto the canonical layout of its transition pattern, and
+    designs with the same counts multiset share one reachability
+    exploration and one :class:`~repro.ctmc.steady.BatchSteadySolver` —
+    bit-identical to solving each design's canonical net on its own (a
+    fresh evaluator per design), because the shared structure is a pure
+    function of the layout.
 
     Parameters
     ----------
@@ -78,11 +77,6 @@ class AvailabilityEvaluator:
     database:
         Vulnerability database for variant lookups of heterogeneous
         designs (default: the case study's own database).
-    structure_sharing:
-        Share one canonical exploration per transition pattern across
-        designs (default).  Turning it off re-explores per design —
-        byte-identical results, more work; the sweep benchmarks use it
-        as the baseline.
     """
 
     def __init__(
@@ -90,12 +84,10 @@ class AvailabilityEvaluator:
         case_study: EnterpriseCaseStudy,
         policy: PatchPolicy,
         database: VulnerabilityDatabase | None = None,
-        structure_sharing: bool = True,
     ) -> None:
         self.case_study = case_study
         self.policy = policy
         self.database = database if database is not None else case_study.database
-        self.structure_sharing = bool(structure_sharing)
         self._aggregates: dict[str, ServiceAggregate] = {}
         self._variant_aggregates: dict[tuple[str, ServerRole], ServiceAggregate] = {}
         self._structures: dict[tuple, CoaStructure] = {}
@@ -190,18 +182,16 @@ class AvailabilityEvaluator:
         """The design's (possibly shared) structure and its rate vector."""
         layout, slots = self.design_slots(design)
         rates = self.slot_rates(slots)
-        if self.structure_sharing:
-            structure = self._structures.get(layout.tiers)
-            if structure is not None:
-                return structure, rates
+        structure = self._structures.get(layout.tiers)
+        if structure is not None:
+            return structure, rates
         self._structure_builds += 1
         rate_pairs = [
             (float(rates[2 * i]), float(rates[2 * i + 1]))
             for i in range(len(slots))
         ]
         structure = coa_structure(layout, rate_pairs)
-        if self.structure_sharing:
-            self._structures[layout.tiers] = structure
+        self._structures[layout.tiers] = structure
         return structure, rates
 
     # -- per-design measures ------------------------------------------------
@@ -221,8 +211,7 @@ class AvailabilityEvaluator:
         """Capacity-oriented availability of *design*.
 
         Solved over the design's canonical layout, so every design with
-        the same transition pattern shares one exploration when
-        structure sharing is on.
+        the same transition pattern shares one exploration.
         """
         structure, rates = self.coa_structure_for(design)
         return structure.coa(rates)

@@ -107,7 +107,6 @@ def evaluate_designs_shared(
     case_study: EnterpriseCaseStudy,
     policy: PatchPolicy,
     database: VulnerabilityDatabase | None = None,
-    structure_sharing: bool = True,
     security_evaluator: SecurityEvaluator | None = None,
     availability_evaluator: AvailabilityEvaluator | None = None,
 ) -> list[DesignEvaluation]:
@@ -115,11 +114,10 @@ def evaluate_designs_shared(
 
     This is the chunk primitive of the sweep engine: the shared
     :class:`AvailabilityEvaluator` amortises the per-role (and
-    per-variant) lower-layer SRN solves — and, with *structure_sharing*
-    on, the per-pattern upper-layer explorations — across every design
-    in the chunk, whatever mix of spec kinds the chunk holds.  Pass
-    evaluator instances (e.g. primed from shared memory) to reuse their
-    caches.
+    per-variant) lower-layer SRN solves and the per-pattern upper-layer
+    explorations across every design in the chunk, whatever mix of spec
+    kinds the chunk holds.  Pass evaluator instances (e.g. primed from
+    shared memory) to reuse their caches.
 
     A failing design raises :class:`~repro.errors.EvaluationError`
     carrying the design label and the original traceback — the error is
@@ -130,10 +128,7 @@ def evaluate_designs_shared(
         security_evaluator = SecurityEvaluator(case_study, database=database)
     if availability_evaluator is None:
         availability_evaluator = AvailabilityEvaluator(
-            case_study,
-            policy,
-            database=database,
-            structure_sharing=structure_sharing,
+            case_study, policy, database=database
         )
     return [
         _evaluate_labelled(

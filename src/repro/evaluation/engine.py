@@ -19,20 +19,21 @@ Caching / batching contract
   not seen before; ``clear_cache()`` resets it.
 * **Chunked dispatch.**  Uncached designs are split into contiguous
   chunks and each chunk is evaluated by one executor call.
-* **Structure sharing (default).**  With ``structure_sharing=True`` the
-  serial and thread executors run every chunk over one long-lived
-  ``SecurityEvaluator``/``AvailabilityEvaluator`` pair (one lower-layer
-  SRN solve per role, one canonical exploration per transition
-  pattern), and the process executor precomputes both in the parent and
+* **One chunk path.**  Every chunk — snapshots or timelines, on any
+  executor — runs one task, :func:`_chunk_task`, over one long-lived
+  ``SecurityEvaluator``/``AvailabilityEvaluator`` pair: one
+  lower-layer SRN solve per role, one canonical exploration per
+  transition pattern.  Serial and thread executors bind the engine's
+  own pair; the process executor precomputes it in the parent and
   publishes the numeric arrays to pool workers through
   ``multiprocessing.shared_memory`` with a pool initializer — the case
   study is pickled once per worker and chunks carry only designs.
-  ``structure_sharing=False`` restores the per-chunk re-solving
-  baseline; results are byte-identical either way.
+  Solving each design with a fresh evaluator pair gives byte-identical
+  results; the tests keep that as the oracle.
 * **Deterministic ordering.**  Results are always returned in input
   order, regardless of executor: chunks are indexed at submission and
-  reassembled positionally.  Every executor and sharing mode produces
-  byte-identical results.
+  reassembled positionally.  Every executor produces byte-identical
+  results.
 * **Failure reporting.**  A design that fails inside any executor
   raises :class:`~repro.errors.EvaluationError` carrying the design
   label and the original traceback (always picklable); a worker that
@@ -50,12 +51,13 @@ Executors
 ``"process"``
     ``concurrent.futures.ProcessPoolExecutor``; one chunk per task.
 Custom executors implement :class:`Executor` (a ``run(fn, batches)``
-method returning results in batch order) and can be passed directly.
+method returning results in batch order; ``iter_run`` defaults to it)
+and can be passed directly.
 
 Warm pools
 ----------
 The pool executors accept ``persistent=True``: instead of spawning a
-fresh pool per ``run`` call, one pool is created lazily and reused
+fresh pool per dispatch, one pool is created lazily and reused
 until :meth:`Executor.close` — the substrate of the resident evaluation
 service (``repro serve``), where pool spawn and worker re-priming would
 otherwise dominate every request.  A persistent
@@ -64,11 +66,12 @@ the shared-memory segment for the pool's lifetime (so late-spawned
 workers can still attach) and re-primes through the same initializer
 when the pool is recycled.  A worker death (``BrokenExecutor``) in
 either pool mode recycles the pool — shutdown (or discard), respawn,
-re-run the initializer — and retries the dispatch under the executor's
-:class:`~repro.resilience.RetryPolicy` (one retry by default); chunk
-evaluation is pure and deterministic, so the retry is byte-identical
-to an undisturbed run.  Results with a warm pool are byte-identical to
-per-call pools.
+re-run the initializer — and resubmits the batches not yet consumed
+under the executor's :class:`~repro.resilience.RetryPolicy` (one retry
+by default); chunk evaluation is pure and deterministic, so the retry
+is byte-identical to an undisturbed run.  A dispatch abandoned early
+(a failure, or a preempted stream) cancels its queued batches.
+Results with a warm pool are byte-identical to per-call pools.
 
 Sweeps can carry a :class:`~repro.resilience.Deadline`: the engine
 checks the budget between chunk dispatches and raises the typed
@@ -87,6 +90,7 @@ from concurrent.futures import (
     ProcessPoolExecutor,
     ThreadPoolExecutor,
 )
+from contextlib import closing
 from functools import partial
 from typing import Any
 
@@ -145,12 +149,11 @@ class Executor:
     def iter_run(self, fn: Callable[..., Any], batches: Sequence[tuple]):
         """Yield results in batch order as they complete.
 
-        The incremental companion of :meth:`run`, used by the engine
-        when a caller consumes chunk results as they arrive (streaming
-        responses, batch-priority preemption).  The default realises
-        :meth:`run` eagerly, so custom executors stay correct without
-        implementing it; the built-in executors override it with truly
-        lazy variants.
+        The engine dispatches every chunk through this, so finished
+        chunks are memoised (and streamed, or preempted after) before
+        later ones compute.  The default realises :meth:`run` eagerly,
+        so custom executors stay correct without implementing it; the
+        built-in executors override it with truly lazy variants.
         """
         yield from self.run(fn, batches)
 
@@ -205,136 +208,93 @@ class _PoolExecutor(Executor):
         #: Pools recycled after a worker death (observability counter).
         self.recycle_count = 0
 
-    def run(self, fn: Callable[..., Any], batches: Sequence[tuple]) -> list:
-        if not batches:
-            return []
-        if self.persistent:
-            # Reuse the warm pool (whatever it is primed with — the
-            # initializer only populates worker globals); even a single
-            # batch goes through it, that is the point of keeping it.
-            return self._run_persistent(fn, batches)
-        if len(batches) == 1:
-            # A single batch gains nothing from a pool; skip the spawn.
-            return [fn(*batches[0])]
-        return self._run_fresh({"max_workers": self.max_workers}, fn, batches)
+    def run(
+        self, fn: Callable[..., Any], batches: Sequence[tuple], **priming
+    ) -> list:
+        """Eager :meth:`iter_run`; *priming* as there."""
+        return list(self.iter_run(fn, batches, **priming))
 
-    def run_with_initializer(
+    def iter_run(
         self,
         fn: Callable[..., Any],
         batches: Sequence[tuple],
-        initializer: Callable[..., None],
-        initargs: tuple,
+        initializer: Callable[..., None] | None = None,
+        initargs: tuple = (),
         key: object = None,
-    ) -> list:
-        """Like :meth:`run`, but every pool worker runs *initializer*
-        first (the shared-memory attach of the structure-sharing
-        pipeline) — so the pool is spawned even for a single batch.
+    ):
+        """Yield results in batch order; optionally prime every worker.
 
-        In persistent mode *key* identifies the priming: the warm pool
-        is reused while the key matches and recycled (respawn +
-        re-initialize) when it changes.  A ``None`` key never matches,
-        so keyless primed dispatches conservatively recycle.
+        With an *initializer* (the shared-memory attach of the process
+        pipeline) every pool worker runs it first, so the pool is
+        spawned even for a single batch.  In persistent mode *key*
+        identifies the priming: the warm pool is reused while the key
+        matches and recycled (respawn + re-initialize) when it changes.
+        A ``None`` key never matches, so keyless primed dispatches
+        conservatively recycle; an unprimed dispatch reuses the warm
+        pool whatever it is primed with (the initializer only populates
+        worker globals).
         """
         if not batches:
-            return []
-        if self.persistent:
-            self._prime(initializer, initargs, key)
-            return self._run_persistent(fn, batches)
-        return self._run_fresh(
-            {
-                "max_workers": self.max_workers,
-                "initializer": initializer,
-                "initargs": initargs,
-            },
-            fn,
-            batches,
-        )
-
-    def iter_run(self, fn: Callable[..., Any], batches: Sequence[tuple]):
-        if not batches:
             return
         if self.persistent:
-            yield from self._iter_pooled(fn, batches, persistent=True)
-            return
-        if len(batches) == 1:
+            if initializer is not None:
+                self._prime(initializer, initargs, key)
+        elif len(batches) == 1 and initializer is None:
+            # A single batch gains nothing from a pool; skip the spawn.
             yield fn(*batches[0])
             return
-        yield from self._iter_pooled(
-            fn,
-            batches,
-            persistent=False,
-            pool_kwargs={"max_workers": self.max_workers},
-        )
+        pool_kwargs: dict[str, Any] = {"max_workers": self.max_workers}
+        if initializer is not None:
+            pool_kwargs.update(initializer=initializer, initargs=initargs)
+        yield from self._iter_pooled(fn, batches, pool_kwargs)
 
-    def iter_run_with_initializer(
-        self,
-        fn: Callable[..., Any],
-        batches: Sequence[tuple],
-        initializer: Callable[..., None],
-        initargs: tuple,
-        key: object = None,
-    ):
-        """Incremental :meth:`run_with_initializer` (same priming rules)."""
-        if not batches:
-            return
-        if self.persistent:
-            self._prime(initializer, initargs, key)
-            yield from self._iter_pooled(fn, batches, persistent=True)
-            return
-        yield from self._iter_pooled(
-            fn,
-            batches,
-            persistent=False,
-            pool_kwargs={
-                "max_workers": self.max_workers,
-                "initializer": initializer,
-                "initargs": initargs,
-            },
-        )
-
-    def _iter_pooled(
-        self,
-        fn,
-        batches: Sequence[tuple],
-        persistent: bool,
-        pool_kwargs: dict | None = None,
-    ):
+    def _iter_pooled(self, fn, batches: Sequence[tuple], pool_kwargs: dict):
         """Submit all batches, yield results in order, recycle on death.
 
-        The streaming core behind :meth:`iter_run`: a worker death
-        resubmits only the batches not yet *yielded* — already-consumed
-        results are never produced twice, so incremental consumers see
-        exactly one result per batch and the stream stays byte-identical
-        to an undisturbed run (chunk evaluation is pure).
+        A worker death recycles the pool — a persistent pool is
+        respawned (fresh workers re-run the stored initializer,
+        re-priming from the still-alive shared segment), a per-call
+        pool is replaced — and resubmits only the batches not yet
+        *yielded* under the retry policy: already-consumed results are
+        never produced twice, so consumers see exactly one result per
+        batch, byte-identical to an undisturbed run (chunk evaluation
+        is pure).  Leaving the loop early — a failure, or a consumer
+        closing the stream — cancels every batch still queued, so an
+        abandoned dispatch never keeps a warm pool busy.
         """
         position = 0
         attempt = 1
         while True:
             pool = (
                 self._ensure_pool()
-                if persistent
+                if self.persistent
                 else self._pool_factory(**pool_kwargs)
             )
+            futures = []
             try:
                 try:
                     futures = [
                         pool.submit(fn, *batch) for batch in batches[position:]
                     ]
                 except BrokenExecutor as exc:
+                    # The pool can already be broken at submit time (a
+                    # worker died while a persistent pool sat idle).
                     raise EvaluationError(
                         f"{self.name} pool broke before dispatching "
                         f"{len(batches) - position} batch(es); a worker died "
                         f"while the pool was idle: {exc!r}"
                     ) from exc
-                for offset, future in enumerate(futures):
+                for future in futures:
                     try:
                         result = future.result()
                     except BrokenExecutor as exc:
-                        index = position + offset
+                        # Every unfinished future raises once the pool
+                        # breaks; this batch (the next one unconsumed) is
+                        # only the first to surface it.
                         raise EvaluationError(
                             f"{self.name} pool broke while batch "
-                            f"{index + 1}/{len(batches)}"
-                            f"{_batch_labels(batches[index])} was pending; a "
+                            f"{position + 1}/{len(batches)}"
+                            f"{_batch_labels(batches[position])} was pending; a "
                             "worker died before reporting a result (crash, "
                             "out-of-memory or failed initializer) and may "
                             f"have been running any unfinished batch: {exc!r}"
@@ -343,22 +303,23 @@ class _PoolExecutor(Executor):
                     position += 1
                 return
             except EvaluationError as exc:
-                if (
-                    not self._worker_died(exc)
-                    or attempt >= self.retry_policy.attempts
-                ):
-                    if persistent and self._worker_died(exc):
-                        self._shutdown_pool()
-                    raise
-                if persistent:
+                died = self._worker_died(exc)
+                if died and self.persistent:
+                    # Drop the broken warm pool: a retry respawns it, and
+                    # a systematic failure (a failing initializer, OOM)
+                    # leaves no zombie pool behind.
                     self._shutdown_pool()
+                if not died or attempt >= self.retry_policy.attempts:
+                    raise
                 self._note_recycle(exc, len(batches) - position)
                 pause = self.retry_policy.delay(attempt)
                 if pause > 0.0:
                     time.sleep(pause)
                 attempt += 1
             finally:
-                if not persistent:
+                for future in futures:
+                    future.cancel()
+                if not self.persistent:
                     pool.shutdown(wait=True, cancel_futures=True)
 
     # -- persistent-pool lifecycle -------------------------------------------
@@ -398,46 +359,6 @@ class _PoolExecutor(Executor):
             batch_count,
         )
 
-    def _run_persistent(self, fn, batches: Sequence[tuple]) -> list:
-        # A worker death recycles: respawn the pool (fresh workers
-        # re-run the stored initializer, re-priming from the still-alive
-        # shared segment) and retry the whole dispatch under the retry
-        # policy — chunk evaluation is pure and deterministic, so
-        # re-running already-finished batches cannot change results.
-        def before_retry(_attempt: int, exc: BaseException) -> None:
-            self._shutdown_pool()
-            self._note_recycle(exc, len(batches))
-
-        try:
-            return self.retry_policy.call(
-                lambda: self._collect(self._ensure_pool(), fn, batches),
-                retry_on=(EvaluationError,),
-                should_retry=self._worker_died,
-                before_retry=before_retry,
-            )
-        except EvaluationError as exc:
-            if self._worker_died(exc):
-                # Broke on every attempt: something systematic (a
-                # failing initializer, OOM); leave no zombie pool.
-                self._shutdown_pool()
-            raise
-
-    def _run_fresh(self, pool_kwargs: dict, fn, batches: Sequence[tuple]) -> list:
-        """Per-call pool with the same recycle-and-retry as persistent
-        mode — each attempt gets a brand-new pool, so a worker death
-        mid-sweep costs one respawn instead of the whole run."""
-
-        def attempt() -> list:
-            with self._pool_factory(**pool_kwargs) as pool:
-                return self._collect(pool, fn, batches)
-
-        return self.retry_policy.call(
-            attempt,
-            retry_on=(EvaluationError,),
-            should_retry=self._worker_died,
-            before_retry=lambda _attempt, exc: self._note_recycle(exc, len(batches)),
-        )
-
     def _shutdown_pool(self) -> None:
         if self._pool is not None:
             self._pool.shutdown(wait=True, cancel_futures=True)
@@ -455,35 +376,6 @@ class _PoolExecutor(Executor):
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-    def _collect(self, pool, fn, batches: Sequence[tuple]) -> list:
-        try:
-            futures = [pool.submit(fn, *batch) for batch in batches]
-        except BrokenExecutor as exc:
-            # The pool can already be broken at submit time (a worker
-            # died while the pool sat idle between persistent runs).
-            raise EvaluationError(
-                f"{self.name} pool broke before dispatching "
-                f"{len(batches)} batch(es); a worker died while the "
-                f"pool was idle: {exc!r}"
-            ) from exc
-        results = []
-        for position, future in enumerate(futures):
-            try:
-                results.append(future.result())
-            except BrokenExecutor as exc:
-                # Every unfinished future raises once the pool breaks;
-                # this batch is only the first to surface it — the dead
-                # worker may have been running any unfinished batch.
-                raise EvaluationError(
-                    f"{self.name} pool broke while batch "
-                    f"{position + 1}/{len(batches)}"
-                    f"{_batch_labels(batches[position])} was pending; a "
-                    "worker died before reporting a result (crash, "
-                    "out-of-memory or failed initializer) and may have "
-                    f"been running any unfinished batch: {exc!r}"
-                ) from exc
-        return results
 
 
 class ThreadExecutor(_PoolExecutor):
@@ -589,102 +481,60 @@ def _checked_chunk(
     return fn(*args)
 
 
-def _evaluate_chunk(
-    case_study: EnterpriseCaseStudy,
-    policy: PatchPolicy,
-    database: VulnerabilityDatabase | None,
+def _chunk_task(
+    kind: str,
     designs: Sequence[DesignSpec],
-    structure_sharing: bool = True,
-    telemetry: dict | None = None,
-) -> list[DesignEvaluation]:
-    """Worker entry point: evaluate one chunk with shared evaluators."""
+    options: dict,
+    evaluators: tuple | None = None,
+) -> list:
+    """The one chunk task: snapshots (``"evaluate"``) or patch timelines
+    (``"timeline"``) of *designs* over one shared evaluator pair.
+
+    In-process executors bind the engine's long-lived *evaluators*; in a
+    pool worker they come from the shared-memory-primed worker state
+    (:func:`repro.evaluation.shared_memory.worker_evaluators`).
+    *options* carries the worker telemetry options and, for timelines,
+    the time grid, tolerance, campaign and transient method.
+    """
     fault_point("worker.chunk", worker_only=True)
     return observability.capture(
-        telemetry,
-        lambda: evaluate_designs_shared(
-            designs,
-            case_study,
-            policy,
-            database=database,
-            structure_sharing=structure_sharing,
-        ),
+        options["telemetry"],
+        lambda: _solve_chunk(kind, designs, options, evaluators),
     )
 
 
-def _timeline_chunk(
-    case_study: EnterpriseCaseStudy,
-    policy: PatchPolicy,
-    database: VulnerabilityDatabase | None,
-    times: tuple[float, ...],
-    tolerance: float,
-    designs: Sequence[DesignSpec],
-    structure_sharing: bool = True,
-    campaign=None,
-    method: str = "uniformisation",
-    telemetry: dict | None = None,
-):
-    """Worker entry point: patch timelines of one chunk, shared evaluators."""
+def _solve_chunk(kind, designs, options, evaluators) -> list:
+    if evaluators is None:
+        from repro.evaluation.shared_memory import worker_evaluators
+
+        evaluators = worker_evaluators()
+    security, availability = evaluators
+    if kind == "evaluate":
+        with tracing.span("chunk:evaluate", designs=len(designs)):
+            return evaluate_designs_shared(
+                designs,
+                availability.case_study,
+                availability.policy,
+                security_evaluator=security,
+                availability_evaluator=availability,
+            )
     from repro.evaluation.timeline import evaluate_timelines_shared
 
-    fault_point("worker.chunk", worker_only=True)
-    return observability.capture(
-        telemetry,
-        lambda: evaluate_timelines_shared(
+    times = options["times"]
+    with tracing.span(
+        "chunk:timeline", designs=len(designs), points=len(times)
+    ):
+        return evaluate_timelines_shared(
             designs,
             times,
-            case_study,
-            policy,
-            database=database,
-            tolerance=tolerance,
-            structure_sharing=structure_sharing,
-            campaign=campaign,
-            method=method,
-        ),
-    )
-
-
-def _evaluate_chunk_primed(
-    security_evaluator,
-    availability_evaluator,
-    case_study: EnterpriseCaseStudy,
-    policy: PatchPolicy,
-    designs: Sequence[DesignSpec],
-) -> list[DesignEvaluation]:
-    """In-process chunk over the engine's long-lived evaluator pair."""
-    return evaluate_designs_shared(
-        designs,
-        case_study,
-        policy,
-        security_evaluator=security_evaluator,
-        availability_evaluator=availability_evaluator,
-    )
-
-
-def _timeline_chunk_primed(
-    security_evaluator,
-    availability_evaluator,
-    case_study: EnterpriseCaseStudy,
-    policy: PatchPolicy,
-    times: tuple[float, ...],
-    tolerance: float,
-    campaign,
-    method: str,
-    designs: Sequence[DesignSpec],
-):
-    """In-process timeline chunk over the engine's evaluator pair."""
-    from repro.evaluation.timeline import evaluate_timelines_shared
-
-    return evaluate_timelines_shared(
-        designs,
-        times,
-        case_study,
-        policy,
-        tolerance=tolerance,
-        security_evaluator=security_evaluator,
-        availability_evaluator=availability_evaluator,
-        campaign=campaign,
-        method=method,
-    )
+            availability.case_study,
+            availability.policy,
+            tolerance=options["tolerance"],
+            security_evaluator=security,
+            availability_evaluator=availability,
+            campaign=options["campaign"],
+            method=options["method"],
+        )
 
 
 def _map_chunk(
@@ -720,16 +570,6 @@ class SweepEngine:
     database:
         Vulnerability database for variant lookups of heterogeneous
         designs (default: the case study's own database).
-    structure_sharing:
-        The structure-sharing pipeline (default on).  Serial and thread
-        executors share one long-lived evaluator pair across the whole
-        sweep (one lower-layer solve per role, one canonical exploration
-        per transition pattern); the process executor precomputes both
-        in the parent and publishes the numeric arrays to pool workers
-        over ``multiprocessing.shared_memory``, so chunks carry only
-        designs — no case-study re-pickling, no per-chunk lower-layer
-        re-solves.  Results are byte-identical with sharing on or off,
-        across every executor.
     cache_path:
         Optional sqlite file for a
         :class:`~repro.evaluation.cache.PersistentEvaluationCache`
@@ -756,7 +596,6 @@ class SweepEngine:
         max_workers: int | None = None,
         chunk_size: int | None = None,
         database: VulnerabilityDatabase | None = None,
-        structure_sharing: bool = True,
         cache_path=None,
     ) -> None:
         self.case_study = case_study if case_study is not None else paper_case_study()
@@ -766,7 +605,6 @@ class SweepEngine:
             check_positive_int(chunk_size, "chunk_size")
         self.chunk_size = chunk_size
         self.database = database
-        self.structure_sharing = bool(structure_sharing)
         self._security_evaluator = None
         self._availability_evaluator = None
         if cache_path is not None:
@@ -862,8 +700,8 @@ class SweepEngine:
                     pending.append(design)
             sp.add(pending=len(pending))
             if pending:
-                for chunk_result in self._run_evaluate_chunks(
-                    self._chunks(pending)
+                for chunk_result in self._run_chunks(
+                    "evaluate", self._chunks(pending)
                 ):
                     for evaluation in chunk_result:
                         self._cache[evaluation.design] = evaluation
@@ -891,7 +729,7 @@ class SweepEngine:
         """Patch timelines of *designs* over *times*, in input order.
 
         The transient companion of :meth:`evaluate`: same chunked
-        dispatch (one shared evaluator pair per chunk), same
+        dispatch (over the same long-lived evaluator pair), same
         deterministic ordering across executors, same two-level
         memoisation — in-memory per ``(design, time grid, tolerance,
         campaign)`` and, when a ``cache_path`` is configured, persisted
@@ -953,9 +791,13 @@ class SweepEngine:
                     pending.append(design)
             sp.add(pending=len(pending))
             if pending:
-                for chunk_result in self._run_timeline_chunks(
-                    self._chunks(pending), times_key, tolerance, campaign,
-                    method,
+                for chunk_result in self._run_chunks(
+                    "timeline",
+                    self._chunks(pending),
+                    times=times_key,
+                    tolerance=tolerance,
+                    campaign=campaign,
+                    method=method,
                 ):
                     for result in chunk_result:
                         key = (
@@ -1064,9 +906,11 @@ class SweepEngine:
 
         Unlinks the retained shared-memory segment, shuts down the
         executor's persistent pool (per-call pools have nothing to shut
-        down) and closes the persistent disk cache.  The engine remains
-        usable for serial evaluation afterwards, but warm-pool engines
-        should be treated as spent — use the context-manager form::
+        down) and closes the persistent disk cache.  Treat the engine as
+        spent afterwards: with a ``cache_path``, an ``evaluate`` or
+        ``timeline`` call reaching any design not already memoised
+        raises :class:`~repro.errors.EvaluationError` (the cache is
+        closed).  Use the context-manager form::
 
             with SweepEngine(executor=ProcessExecutor(persistent=True)) as engine:
                 engine.evaluate(designs)
@@ -1149,11 +993,13 @@ class SweepEngine:
         return bool(getattr(self.executor, "persistent", False))
 
     def _use_shared_memory(self, chunks: Sequence[Sequence[Any]]) -> bool:
-        """Whether this dispatch goes through the shared-memory pool."""
-        return (
-            self.structure_sharing
-            and isinstance(self.executor, ProcessExecutor)
-            and (len(chunks) > 1 or self._persistent_pool)
+        """Whether this dispatch goes through the shared-memory pool.
+
+        A per-call process pool handed a single chunk runs it in the
+        parent instead (no pool spawn), over the engine's evaluators.
+        """
+        return isinstance(self.executor, ProcessExecutor) and (
+            len(chunks) > 1 or self._persistent_pool
         )
 
     def _shared_context(self, designs: Sequence[Any]):
@@ -1205,257 +1051,101 @@ class SweepEngine:
             previous.unlink()
         return self._warm_context
 
-    @property
-    def _incremental(self) -> bool:
-        """Whether the in-flight call consumes chunk results one by one.
-
-        True when a checkpoint (preemption) or progress (streaming)
-        consumer is attached: dispatches then go through the executor's
-        ``iter_run`` generators so finished chunks are memoised — and
-        surfaced — before later ones compute.  Plain calls keep the
-        eager list path (identical results, one fewer moving part).
-        """
-        return self._checkpoint is not None or self._progress is not None
-
     def _dispatch(
-        self,
-        fn: Callable[..., Any],
-        batches: Sequence[tuple],
-        runner: Callable[..., list] | None = None,
+        self, fn: Callable[..., Any], batches: Sequence[tuple], **priming
     ):
-        """Run *batches* through the executor, absorbing chunk telemetry.
+        """Run *batches* through the executor; yield absorbed results.
 
         Worker-process chunks come back wrapped in
         :class:`~repro.observability.ChunkTelemetry`; absorbing merges
         their metric deltas and spans into this process and unwraps the
         untouched results, so callers see the same shapes either way.
+        Results stream in batch order as they complete, so finished
+        chunks are memoised — and surfaced to a progress consumer —
+        before later ones compute; eager callers simply drain the
+        generator.  *priming* is forwarded to :meth:`Executor.iter_run`.
 
-        An active sweep deadline is checked here before any work is
-        submitted; on in-process executors (serial/thread) each chunk
-        additionally re-checks the budget (and the preemption
-        checkpoint) at entry, so a sweep stops at the next chunk
-        boundary once the budget is spent or a higher-priority request
-        arrives.  Returns a list, or a lazy generator when the call is
-        :attr:`_incremental`.
+        An active sweep deadline (and the preemption checkpoint) is
+        checked before any work is submitted.  On in-process executors
+        (serial/thread) each chunk re-checks both at entry; pool-backed
+        executors cannot close over them (they are not picklable), so
+        for them the checkpoint runs between consumed results instead —
+        a preemption there forfeits at most the one chunk computed since
+        the last boundary, which simply recomputes on resume (chunk
+        evaluation is pure).
         """
         deadline, checkpoint = self._deadline, self._checkpoint
         if deadline is not None:
             deadline.check("chunk dispatch")
         if checkpoint is not None:
             checkpoint()
-        wrapped = False
-        if (
-            runner is None
-            and (deadline is not None or checkpoint is not None)
-            and isinstance(self.executor, (SerialExecutor, ThreadExecutor))
+        between = checkpoint
+        if (deadline is not None or checkpoint is not None) and isinstance(
+            self.executor, (SerialExecutor, ThreadExecutor)
         ):
-            # In-process execution: safe to close over the deadline and
-            # checkpoint (process pools would need to pickle them; the
-            # pre-submit check above still bounds those dispatches).
             fn = partial(_checked_chunk, deadline, checkpoint, fn)
-            wrapped = True
-        if self._incremental:
-            return self._dispatch_iter(fn, batches, runner, wrapped)
-        if runner is None:
-            runner = self.executor.run
+            between = None
         dispatched = time.time()
-        with tracing.span(
+        # Closed explicitly so a preemption raised here cancels the
+        # executor's queued batches at once, not when the stream is
+        # garbage-collected.
+        stream = self.executor.iter_run(fn, batches, **priming)
+        with closing(stream), tracing.span(
             "engine:dispatch",
             executor=self.executor.name,
             chunks=len(batches),
         ):
-            results = runner(fn, batches)
-            return [
-                observability.absorb(result, dispatched)
-                for result in results
-            ]
-
-    def _dispatch_iter(
-        self,
-        fn: Callable[..., Any],
-        batches: Sequence[tuple],
-        runner: Callable[..., Any] | None,
-        wrapped: bool,
-    ):
-        """The incremental dispatch: yield absorbed chunk results.
-
-        Pool-backed executors cannot close over the checkpoint (it is
-        not picklable), so for them the checkpoint also runs between
-        consumed results — a preemption there forfeits at most the one
-        chunk computed since the last boundary, which simply recomputes
-        on resume (chunk evaluation is pure).
-        """
-        checkpoint = self._checkpoint
-        if runner is None:
-            runner = self.executor.iter_run
-        dispatched = time.time()
-        with tracing.span(
-            "engine:dispatch",
-            executor=self.executor.name,
-            chunks=len(batches),
-        ):
-            first = True
-            for result in runner(fn, batches):
-                if not first and checkpoint is not None and not wrapped:
-                    checkpoint()
-                first = False
+            for position, result in enumerate(stream):
+                if position and between is not None:
+                    between()
                 yield observability.absorb(result, dispatched)
 
-    def _run_evaluate_chunks(self, chunks: Sequence[Sequence[Any]]) -> list:
-        if not self.structure_sharing:
-            options = observability.telemetry_options()
-            batches = [
-                (
-                    self.case_study, self.policy, self.database, chunk,
-                    False, options,
-                )
-                for chunk in chunks
-            ]
-            return self._dispatch(_evaluate_chunk, batches)
-        if self._use_shared_memory(chunks):
-            from repro.evaluation.shared_memory import shared_evaluate_chunk
+    def _run_chunks(self, kind: str, chunks: Sequence[Sequence[Any]], **params):
+        """Yield each chunk's results of one *kind* as it completes.
 
-            options = observability.telemetry_options()
-            return self._run_shared_memory(
-                shared_evaluate_chunk,
-                [(chunk, options) for chunk in chunks],
-                chunks,
-            )
-        security, availability = self._shared_evaluators()
-        fn = partial(
-            _evaluate_chunk_primed,
-            security,
-            availability,
-            self.case_study,
-            self.policy,
-        )
-        return self._dispatch(fn, [(chunk,) for chunk in chunks])
+        Process pools run :func:`_chunk_task` in workers primed from
+        shared memory; every other dispatch binds the engine's
+        long-lived evaluator pair.
+        """
+        options = {"telemetry": observability.telemetry_options(), **params}
+        batches = [(kind, chunk, options) for chunk in chunks]
+        if self._use_shared_memory(chunks):
+            return self._run_shared_memory(batches, chunks)
+        task = partial(_chunk_task, evaluators=self._shared_evaluators())
+        return self._dispatch(task, batches)
 
     def _run_shared_memory(
-        self,
-        fn: Callable[..., Any],
-        batches: Sequence[tuple],
-        chunks: Sequence[Sequence[Any]],
-    ) -> list:
+        self, batches: Sequence[tuple], chunks: Sequence[Sequence[Any]]
+    ):
         """Dispatch *batches* through the shared-memory process pool.
 
         Per-call pools build a context for exactly this dispatch and
-        unlink it once the pool has drained.  A persistent (warm) pool
-        instead reuses the engine-retained context, keyed by its segment
-        name: an unchanged key keeps the primed workers, a changed one
-        recycles the pool so fresh workers re-prime from the new
-        segment; the retained segment is released by :meth:`close`.
+        unlink it once the dispatch is exhausted or abandoned.  A
+        persistent (warm) pool instead reuses the engine-retained
+        context, keyed by its segment name: an unchanged key keeps the
+        primed workers, a changed one recycles the pool so fresh
+        workers re-prime from the new segment; the retained segment is
+        released by :meth:`close`.
         """
         from repro.evaluation.shared_memory import initialize_worker
 
         designs = [design for chunk in chunks for design in chunk]
-        primed_runner = (
-            self.executor.iter_run_with_initializer
-            if self._incremental
-            else self.executor.run_with_initializer
-        )
-        if self._persistent_pool:
+        persistent = self._persistent_pool
+        if persistent:
             context = self._warm_shared_context(designs)
-            return self._dispatch(
-                fn,
-                batches,
-                runner=partial(
-                    primed_runner,
-                    initializer=initialize_worker,
-                    initargs=(context.worker_payload(),),
-                    key=context.segment_name,
-                ),
-            )
-        if self._incremental:
-            return self._iter_fresh_shared(fn, batches, designs, primed_runner)
-        context = self._shared_context(designs)
+        else:
+            context = self._shared_context(designs)
+        priming = {
+            "initializer": initialize_worker,
+            "initargs": (context.worker_payload(),),
+        }
+        if persistent:
+            priming["key"] = context.segment_name
         try:
-            return self._dispatch(
-                fn,
-                batches,
-                runner=partial(
-                    primed_runner,
-                    initializer=initialize_worker,
-                    initargs=(context.worker_payload(),),
-                ),
-            )
+            yield from self._dispatch(_chunk_task, batches, **priming)
         finally:
-            context.unlink()
-
-    def _iter_fresh_shared(self, fn, batches, designs, primed_runner):
-        """Incremental per-call shared-memory dispatch (generator).
-
-        The ``finally: unlink`` of the eager path would tear the
-        segment down before a lazy consumer ran anything; here the
-        unlink happens when the generator is exhausted (or closed).
-        """
-        from repro.evaluation.shared_memory import initialize_worker
-
-        context = self._shared_context(designs)
-        try:
-            yield from self._dispatch(
-                fn,
-                batches,
-                runner=partial(
-                    primed_runner,
-                    initializer=initialize_worker,
-                    initargs=(context.worker_payload(),),
-                ),
-            )
-        finally:
-            context.unlink()
-
-    def _run_timeline_chunks(
-        self,
-        chunks: Sequence[Sequence[Any]],
-        times_key: tuple[float, ...],
-        tolerance: float,
-        campaign=None,
-        method: str = "uniformisation",
-    ) -> list:
-        if not self.structure_sharing:
-            options = observability.telemetry_options()
-            batches = [
-                (
-                    self.case_study,
-                    self.policy,
-                    self.database,
-                    times_key,
-                    tolerance,
-                    chunk,
-                    False,
-                    campaign,
-                    method,
-                    options,
-                )
-                for chunk in chunks
-            ]
-            return self._dispatch(_timeline_chunk, batches)
-        if self._use_shared_memory(chunks):
-            from repro.evaluation.shared_memory import shared_timeline_chunk
-
-            options = observability.telemetry_options()
-            return self._run_shared_memory(
-                shared_timeline_chunk,
-                [
-                    (times_key, tolerance, chunk, campaign, method, options)
-                    for chunk in chunks
-                ],
-                chunks,
-            )
-        security, availability = self._shared_evaluators()
-        fn = partial(
-            _timeline_chunk_primed,
-            security,
-            availability,
-            self.case_study,
-            self.policy,
-            times_key,
-            tolerance,
-            campaign,
-            method,
-        )
-        return self._dispatch(fn, [(chunk,) for chunk in chunks])
+            if not persistent:
+                context.unlink()
 
     def _disk_key(self, design: DesignSpec, *parts) -> str:
         """Persistent-cache key: context fingerprint + design identity."""

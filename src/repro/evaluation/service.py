@@ -406,7 +406,6 @@ class EngineLane:
                 "executor": executor.name,
                 "persistent_pool": bool(getattr(executor, "persistent", False)),
                 "pool_recycles": getattr(executor, "recycle_count", 0),
-                "structure_sharing": engine.structure_sharing,
                 "cache_info": engine.cache_info,
                 "shared_context": engine.shared_context_info,
             }
@@ -640,7 +639,7 @@ class EvaluationService:
         :class:`~repro.evaluation.engine.Executor` instance is used
         as-is on the default lane (extra lanes then fall back to
         serial engines).
-    max_workers / chunk_size / structure_sharing / cache_path:
+    max_workers / chunk_size / cache_path:
         Passed through to every lane engine (``cache_path`` enables the
         thread-safe sqlite result store shared across lanes, restarts
         and shard processes).
@@ -677,7 +676,6 @@ class EvaluationService:
         executor="process",
         max_workers: int | None = None,
         chunk_size: int | None = None,
-        structure_sharing: bool = True,
         cache_path=None,
         lanes: int = DEFAULT_LANES,
         max_designs: int = DEFAULT_MAX_DESIGNS,
@@ -721,7 +719,6 @@ class EvaluationService:
         self._case_study = case_study
         self._policy = policy
         self._chunk_size = chunk_size
-        self._structure_sharing = structure_sharing
         self._cache_path = cache_path
         if isinstance(executor, str):
             self._executor_spec = (executor, max_workers)
@@ -750,7 +747,6 @@ class EvaluationService:
             max_workers=max_workers,
             chunk_size=chunk_size,
             database=diversity_database(),
-            structure_sharing=structure_sharing,
             cache_path=cache_path,
         )
         self._lanes = LanePool(lanes, self.engine)
@@ -1332,7 +1328,6 @@ class EvaluationService:
                 executor=executor,
                 chunk_size=self._chunk_size,
                 database=database,
-                structure_sharing=self._structure_sharing,
                 cache_path=self._cache_path,
             )
 
@@ -1706,7 +1701,6 @@ class EvaluationService:
                 "executor": executor.name,
                 "persistent_pool": bool(getattr(executor, "persistent", False)),
                 "pool_recycles": getattr(executor, "recycle_count", 0),
-                "structure_sharing": self.engine.structure_sharing,
                 "cache_info": self.engine.cache_info,
             },
             "max_designs": self.max_designs,

@@ -1,9 +1,9 @@
 """Shared-memory transport of precomputed sweep state to pool workers.
 
-The ``"process"`` sweep executor historically re-pickled the case study
-with every chunk and let every worker re-solve the per-role lower-layer
-SRNs (the Table V aggregates) from scratch.  This module implements the
-precompute-and-share half of the structure-sharing pipeline:
+Without it, the ``"process"`` sweep executor would re-pickle the case
+study with every chunk and let every worker re-solve the per-role
+lower-layer SRNs (the Table V aggregates) from scratch.  This module is
+the process-pool half of the engine's one chunk path:
 
 - the **parent** solves the lower-layer aggregates and explores one
   canonical COA structure per transition pattern (see
@@ -12,7 +12,8 @@ precompute-and-share half of the structure-sharing pipeline:
   handle;
 - each **pool worker** attaches the segment once (pool initializer),
   copies the arrays out, reconstructs the aggregate table and the
-  canonical structures, and primes its evaluator pair — chunks then
+  canonical structures, and primes its evaluator pair (returned by
+  :func:`worker_evaluators` to the engine's chunk task) — chunks then
   carry only the designs, and no worker ever re-solves the lower layer
   or re-explores a pattern the parent already explored.
 
@@ -49,8 +50,7 @@ __all__ = [
     "read_arrays",
     "SharedSweepContext",
     "initialize_worker",
-    "shared_evaluate_chunk",
-    "shared_timeline_chunk",
+    "worker_evaluators",
 ]
 
 _logger = logging.getLogger(__name__)
@@ -382,8 +382,9 @@ class SharedSweepContext:
 
 # -- worker side --------------------------------------------------------------
 
-#: Per-process evaluator pair primed from the shared segment.
-_WORKER: dict | None = None
+#: Per-process ``(security, availability)`` evaluator pair primed from
+#: the shared segment.
+_WORKER: tuple | None = None
 
 
 def initialize_worker(payload: dict) -> None:
@@ -450,72 +451,14 @@ def initialize_worker(payload: dict) -> None:
         len(variants),
         len(structures),
     )
-    _WORKER = {
-        "security": SecurityEvaluator(case_study, database=database),
-        "availability": availability,
-        "case_study": case_study,
-        "policy": payload["policy"],
-    }
+    _WORKER = (SecurityEvaluator(case_study, database=database), availability)
 
 
-def _worker_state() -> dict:
+def worker_evaluators() -> tuple:
+    """The pool worker's primed ``(security, availability)`` pair."""
     if _WORKER is None:
         raise EvaluationError(
             "shared-memory worker used before initialization; the pool "
             "initializer did not run"
         )
     return _WORKER
-
-
-def shared_evaluate_chunk(designs, telemetry=None):
-    """Worker entry point: evaluate one chunk with the primed evaluators."""
-    fault_point("worker.chunk", worker_only=True)
-    return observability.capture(
-        telemetry, lambda: _shared_evaluate(designs)
-    )
-
-
-def _shared_evaluate(designs):
-    from repro.evaluation.combined import evaluate_designs_shared
-
-    state = _worker_state()
-    with tracing.span("chunk:evaluate", designs=len(designs)):
-        return evaluate_designs_shared(
-            designs,
-            state["case_study"],
-            state["policy"],
-            security_evaluator=state["security"],
-            availability_evaluator=state["availability"],
-        )
-
-
-def shared_timeline_chunk(
-    times, tolerance, designs, campaign=None, method="uniformisation",
-    telemetry=None,
-):
-    """Worker entry point: patch timelines with the primed evaluators."""
-    fault_point("worker.chunk", worker_only=True)
-    return observability.capture(
-        telemetry,
-        lambda: _shared_timeline(times, tolerance, designs, campaign, method),
-    )
-
-
-def _shared_timeline(times, tolerance, designs, campaign, method):
-    from repro.evaluation.timeline import evaluate_timelines_shared
-
-    state = _worker_state()
-    with tracing.span(
-        "chunk:timeline", designs=len(designs), points=len(times)
-    ):
-        return evaluate_timelines_shared(
-            designs,
-            times,
-            state["case_study"],
-            state["policy"],
-            tolerance=tolerance,
-            security_evaluator=state["security"],
-            availability_evaluator=state["availability"],
-            campaign=campaign,
-            method=method,
-        )

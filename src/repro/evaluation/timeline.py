@@ -666,7 +666,6 @@ def evaluate_timelines_shared(
     policy: PatchPolicy,
     database: VulnerabilityDatabase | None = None,
     tolerance: float = 1e-10,
-    structure_sharing: bool = True,
     security_evaluator: SecurityEvaluator | None = None,
     availability_evaluator: AvailabilityEvaluator | None = None,
     campaign: PatchCampaign | None = None,
@@ -676,11 +675,10 @@ def evaluate_timelines_shared(
 
     The chunk primitive of :meth:`SweepEngine.timeline`: the shared
     :class:`AvailabilityEvaluator` amortises the per-role and
-    per-variant lower-layer SRN solves — and, with *structure_sharing*
-    on, the per-pattern canonical explorations — across every design in
-    the chunk, whatever mix of spec kinds the chunk holds.  Pass
-    evaluator instances (e.g. primed from shared memory) to reuse their
-    caches.  Failures carry the design label and original traceback in
+    per-variant lower-layer SRN solves and the per-pattern canonical
+    explorations across every design in the chunk, whatever mix of spec
+    kinds the chunk holds.  Pass evaluator instances (e.g. primed from
+    shared memory) to reuse their caches.  Failures carry the design label and original traceback in
     a picklable :class:`~repro.errors.EvaluationError`.
     """
     import traceback
@@ -689,10 +687,7 @@ def evaluate_timelines_shared(
         security_evaluator = SecurityEvaluator(case_study, database=database)
     if availability_evaluator is None:
         availability_evaluator = AvailabilityEvaluator(
-            case_study,
-            policy,
-            database=database,
-            structure_sharing=structure_sharing,
+            case_study, policy, database=database
         )
     results: list[DesignTimeline] = []
     for design in designs:

@@ -306,12 +306,14 @@ class TestEngineCampaigns:
         reference = SweepEngine(executor="serial").timeline(
             designs, grid, campaign=CANARY_THEN_FLEET
         )
-        shared = SweepEngine(
-            executor="process", max_workers=2, structure_sharing=True
-        ).timeline(designs, grid, campaign=CANARY_THEN_FLEET)
-        baseline = SweepEngine(
-            executor="process", max_workers=2, structure_sharing=False
-        ).timeline(designs, grid, campaign=CANARY_THEN_FLEET)
+        shared = SweepEngine(executor="process", max_workers=2).timeline(
+            designs, grid, campaign=CANARY_THEN_FLEET
+        )
+        # Oracle: a fresh evaluator pair per design, nothing shared.
+        baseline = [
+            evaluate_timeline(design, grid, campaign=CANARY_THEN_FLEET)
+            for design in designs
+        ]
         for a, b, c in zip(reference, shared, baseline):
             assert_curves_identical(a, b)
             assert_curves_identical(a, c)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from concurrent.futures import BrokenExecutor, Future
+
 import pytest
 
 from repro.enterprise import RedundancyDesign
@@ -17,7 +19,7 @@ from repro.evaluation import (
 from repro.evaluation.engine import (
     ProcessExecutor,
     ThreadExecutor,
-    _evaluate_chunk,
+    _chunk_task,
 )
 
 
@@ -34,9 +36,40 @@ class RecordingExecutor(SerialExecutor):
     def __init__(self):
         self.batches_run = 0
 
-    def run(self, fn, batches):
+    def iter_run(self, fn, batches):
         self.batches_run += len(batches)
-        return super().run(fn, batches)
+        return super().iter_run(fn, batches)
+
+
+class _BreakingPool:
+    """In-process stand-in for a futures pool whose worker dies: the
+    first pool reports its third batch as a broken-pool failure."""
+
+    def __init__(self, owner, **_kwargs):
+        self.submitted = []
+        self.breaks = not owner.pools
+        owner.pools.append(self)
+
+    def submit(self, fn, *args):
+        future = Future()
+        if self.breaks and len(self.submitted) == 2:
+            future.set_exception(BrokenExecutor("worker died"))
+        else:
+            future.set_result(fn(*args))
+        self.submitted.append(args)
+        return future
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        pass
+
+
+class _BreakingExecutor(ThreadExecutor):
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.pools = []
+
+    def _pool_factory(self, **kwargs):
+        return _BreakingPool(self, **kwargs)
 
 
 @pytest.fixture(scope="module")
@@ -157,7 +190,15 @@ class TestModuleLevelApi:
         assert default == engine_run
 
     def test_chunk_worker_matches_serial(self, small_space, case_study, critical_policy):
-        chunked = _evaluate_chunk(case_study, critical_policy, None, small_space)
+        from repro.evaluation import AvailabilityEvaluator, SecurityEvaluator
+
+        evaluators = (
+            SecurityEvaluator(case_study),
+            AvailabilityEvaluator(case_study, critical_policy),
+        )
+        chunked = _chunk_task(
+            "evaluate", small_space, {"telemetry": None}, evaluators
+        )
         assert chunked == evaluate_designs(
             small_space, case_study=case_study, policy=critical_policy
         )
@@ -237,20 +278,58 @@ class TestPersistentExecutors:
     def test_prime_key_change_recycles_pool(self):
         executor = ThreadExecutor(max_workers=2, persistent=True)
         try:
-            executor.run_with_initializer(
+            executor.run(
                 lambda x: x, [(1,)], initializer=str, initargs=("a",), key="a"
             )
             first_pool = executor._pool
-            executor.run_with_initializer(
+            executor.run(
                 lambda x: x, [(2,)], initializer=str, initargs=("a",), key="a"
             )
             assert executor._pool is first_pool  # same key: stays warm
-            executor.run_with_initializer(
+            executor.run(
                 lambda x: x, [(3,)], initializer=str, initargs=("b",), key="b"
             )
             assert executor._pool is not first_pool  # new key: recycled
         finally:
             executor.close()
+
+    def test_closed_stream_cancels_queued_batches(self):
+        import time
+
+        started: list[int] = []
+
+        def slow(index):
+            started.append(index)
+            time.sleep(0.2)
+            return index
+
+        executor = ThreadExecutor(max_workers=1, persistent=True)
+        try:
+            stream = executor.iter_run(slow, [(i,) for i in range(8)])
+            assert next(stream) == 0
+            stream.close()
+            # The warm pool is free again once the batch that was
+            # already running finishes; nothing queued behind it runs.
+            assert executor.run(lambda: "next", [()]) == ["next"]
+            assert len(started) <= 3
+        finally:
+            executor.close()
+
+    @pytest.mark.parametrize("persistent", [False, True])
+    def test_worker_death_mid_stream_resubmits_unconsumed(self, persistent):
+        executor = _BreakingExecutor(max_workers=2, persistent=persistent)
+        try:
+            stream = executor.iter_run(lambda x: x * 10, [(i,) for i in range(4)])
+            results = list(stream)
+        finally:
+            executor.close()
+        assert results == [0, 10, 20, 30]
+        assert executor.recycle_count == 1
+        # The respawned pool only gets the batches nobody consumed yet.
+        assert [pool.submitted for pool in executor.pools] == [
+            [(0,), (1,), (2,), (3,)],
+            [(2,), (3,)],
+        ]
 
     def test_process_pool_recycles_after_killed_worker(self):
         import os

@@ -256,6 +256,12 @@ class TestWarmPoolService:
             pool = service.engine.executor._pool
             assert pool is not None
             os.kill(next(iter(pool._processes)), signal.SIGKILL)
+            # Let the pool notice the death first; otherwise the
+            # surviving worker can answer every batch before it does,
+            # and the recycle lands on a later dispatch instead.
+            noticed_by = time.monotonic() + 10.0
+            while not pool._broken and time.monotonic() < noticed_by:
+                time.sleep(0.01)
             service.engine.clear_cache()
             service._responses.clear()
             second = client.sweep(roles=["dns", "web"], max_replicas=2)

@@ -2,8 +2,9 @@
 
 Covers the canonical pattern layer (:mod:`repro.availability.grouped`),
 the shared-memory transport (:mod:`repro.evaluation.shared_memory`), the
-engine wiring (sharing on/off x serial/thread/process byte-identity),
-the solve-count reduction and worker failure reporting.
+engine wiring (serial/thread/process byte-identity against a
+fresh-evaluator-per-design oracle), the solve-count reduction and worker
+failure reporting.
 """
 
 from __future__ import annotations
@@ -25,13 +26,18 @@ from repro.enterprise import (
     paper_variant_space,
 )
 from repro.errors import EvaluationError
-from repro.evaluation import AvailabilityEvaluator, SweepEngine
+from repro.evaluation import (
+    AvailabilityEvaluator,
+    SweepEngine,
+    evaluate_design,
+    evaluate_timeline,
+)
+from repro.evaluation.engine import _chunk_task
 from repro.evaluation.shared_memory import (
     SharedSweepContext,
     initialize_worker,
     pack_arrays,
     read_arrays,
-    shared_evaluate_chunk,
 )
 from repro.evaluation.sweep import enumerate_designs
 from repro.srn import explore
@@ -128,21 +134,19 @@ class TestEvaluatorSharing:
         self, case_study, critical_policy, space27
     ):
         shared = AvailabilityEvaluator(case_study, critical_policy)
-        fresh = AvailabilityEvaluator(
-            case_study, critical_policy, structure_sharing=False
-        )
+        fresh_builds = 0
         for design in space27:
+            fresh = AvailabilityEvaluator(case_study, critical_policy)
             assert shared.coa(design).hex() == fresh.coa(design).hex()
+            fresh_builds += fresh.solve_stats["structure_builds"]
         assert shared.solve_stats["structure_builds"] == 10
-        assert fresh.solve_stats["structure_builds"] == len(space27)
+        assert fresh_builds == len(space27)
 
     def test_transient_bitwise_equal(self, case_study, critical_policy, space27):
         times = [0.0, 24.0, 360.0, 720.0]
         shared = AvailabilityEvaluator(case_study, critical_policy)
-        fresh = AvailabilityEvaluator(
-            case_study, critical_policy, structure_sharing=False
-        )
         for design in space27[::5]:
+            fresh = AvailabilityEvaluator(case_study, critical_policy)
             a = shared.transient_coa(design, times)
             b = fresh.transient_coa(design, times)
             assert a.tobytes() == b.tobytes()
@@ -204,7 +208,7 @@ class TestSharedMemoryTransport:
         )
         try:
             initialize_worker(context.worker_payload())
-            shared = shared_evaluate_chunk(designs)
+            shared = _chunk_task("evaluate", designs, {"telemetry": None})
         finally:
             context.unlink()
         reference = SweepEngine(
@@ -271,11 +275,12 @@ class TestSharedMemoryTransport:
             SharedSweepContext, "build", classmethod(recording_build)
         )
 
-        def broken_run(self, fn, batches, initializer, initargs):
+        def broken_iter_run(self, fn, batches, **priming):
             raise RuntimeError("worker pool exploded")
+            yield  # pragma: no cover - makes this a generator
 
         monkeypatch.setattr(
-            engine_module.ProcessExecutor, "run_with_initializer", broken_run
+            engine_module.ProcessExecutor, "iter_run", broken_iter_run
         )
         engine = SweepEngine(
             case_study=case_study,
@@ -296,37 +301,36 @@ class TestSharedMemoryTransport:
 
         monkeypatch.setattr(sm, "_WORKER", None)
         with pytest.raises(EvaluationError):
-            shared_evaluate_chunk([RedundancyDesign({"dns": 1})])
+            _chunk_task(
+                "evaluate", [RedundancyDesign({"dns": 1})], {"telemetry": None}
+            )
 
 
 class TestEngineSharingParity:
     @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
-    def test_sweep_byte_identical_on_vs_off(
+    def test_sweep_matches_oracle(
         self, case_study, critical_policy, space27, executor
     ):
         designs = space27[:9]
         kwargs = (
             {} if executor == "serial" else {"max_workers": 2, "chunk_size": 3}
         )
-        on = SweepEngine(
+        shared = SweepEngine(
             case_study=case_study,
             policy=critical_policy,
             executor=executor,
             **kwargs,
         ).evaluate(designs)
-        off = SweepEngine(
-            case_study=case_study,
-            policy=critical_policy,
-            executor=executor,
-            structure_sharing=False,
-            **kwargs,
-        ).evaluate(designs)
-        for a, b in zip(on, off):
+        oracle = [
+            evaluate_design(design, case_study, critical_policy)
+            for design in designs
+        ]
+        for a, b in zip(shared, oracle):
             assert a.after.coa.hex() == b.after.coa.hex()
             assert a.before == b.before and a.after == b.after
 
     @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
-    def test_timeline_byte_identical_on_vs_off(
+    def test_timeline_matches_oracle(
         self, case_study, critical_policy, space27, executor
     ):
         designs = space27[:6]
@@ -334,20 +338,19 @@ class TestEngineSharingParity:
         kwargs = (
             {} if executor == "serial" else {"max_workers": 2, "chunk_size": 2}
         )
-        on = SweepEngine(
+        shared = SweepEngine(
             case_study=case_study,
             policy=critical_policy,
             executor=executor,
             **kwargs,
         ).timeline(designs, times)
-        off = SweepEngine(
-            case_study=case_study,
-            policy=critical_policy,
-            executor=executor,
-            structure_sharing=False,
-            **kwargs,
-        ).timeline(designs, times)
-        for a, b in zip(on, off):
+        oracle = [
+            evaluate_timeline(
+                design, times, case_study=case_study, policy=critical_policy
+            )
+            for design in designs
+        ]
+        for a, b in zip(shared, oracle):
             assert a.coa == b.coa
             assert a.completion_probability == b.completion_probability
             assert a.unpatched_fraction == b.unpatched_fraction
@@ -483,15 +486,14 @@ class TestSolveCountReduction:
             shared.coa(design)
         shared_explorations = exploration_count() - before
 
-        fresh = AvailabilityEvaluator(
-            case_study, critical_policy, structure_sharing=False
-        )
         before = exploration_count()
         for design in space27:
-            fresh.coa(design)
+            AvailabilityEvaluator(case_study, critical_policy).coa(design)
         fresh_explorations = exploration_count() - before
 
-        # lower-layer server SRNs add a constant 3 explorations to each
+        # lower-layer server SRNs add 3 explorations (dns, web, app) per
+        # evaluator: once for the shared one, once per design for the
+        # fresh-evaluator oracle
         assert shared_explorations < fresh_explorations
         assert shared_explorations - 3 == 10
-        assert fresh_explorations - 3 == len(space27)
+        assert fresh_explorations - 3 * len(space27) == len(space27)

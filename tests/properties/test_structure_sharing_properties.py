@@ -78,6 +78,11 @@ def design_populations(draw):
     return population
 
 
+def _fresh() -> AvailabilityEvaluator:
+    """The per-design oracle: a fresh evaluator shares nothing."""
+    return AvailabilityEvaluator(_CASE_STUDY, _POLICY, database=_DATABASE)
+
+
 class TestGroupedSolveParity:
     @given(design_populations())
     @settings(max_examples=15, deadline=None)
@@ -85,11 +90,8 @@ class TestGroupedSolveParity:
         shared = AvailabilityEvaluator(
             _CASE_STUDY, _POLICY, database=_DATABASE
         )
-        fresh = AvailabilityEvaluator(
-            _CASE_STUDY, _POLICY, database=_DATABASE, structure_sharing=False
-        )
         for design in population:
-            assert shared.coa(design).hex() == fresh.coa(design).hex()
+            assert shared.coa(design).hex() == _fresh().coa(design).hex()
 
     @given(design_populations(), st.integers(min_value=1, max_value=4))
     @settings(max_examples=8, deadline=None)
@@ -98,12 +100,9 @@ class TestGroupedSolveParity:
         shared = AvailabilityEvaluator(
             _CASE_STUDY, _POLICY, database=_DATABASE
         )
-        fresh = AvailabilityEvaluator(
-            _CASE_STUDY, _POLICY, database=_DATABASE, structure_sharing=False
-        )
         for design in population:
             a = shared.transient_coa(design, times)
-            b = fresh.transient_coa(design, times)
+            b = _fresh().transient_coa(design, times)
             assert a.tobytes() == b.tobytes()
 
 

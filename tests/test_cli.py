@@ -494,14 +494,6 @@ class TestCacheCli:
 
 
 class TestSharedMemoryFlag:
-    def test_no_shared_memory_matches_default(self, capsys):
-        args = ["sweep", "--roles", "dns,web", "--max-replicas", "2", "--json"]
-        assert main(args) == 0
-        default = json.loads(capsys.readouterr().out)
-        assert main(args + ["--no-shared-memory"]) == 0
-        baseline = json.loads(capsys.readouterr().out)
-        assert default["designs"] == baseline["designs"]
-
     def test_process_executor_with_sharing(self, capsys):
         assert (
             main(
@@ -516,7 +508,6 @@ class TestSharedMemoryFlag:
                     "process",
                     "--jobs",
                     "2",
-                    "--shared-memory",
                 ]
             )
             == 0
@@ -524,23 +515,6 @@ class TestSharedMemoryFlag:
         payload = json.loads(capsys.readouterr().out)
         assert payload["executor"] == "process"
         assert payload["design_count"] == 4
-
-    def test_timeline_no_shared_memory_matches_default(self, capsys):
-        args = [
-            "timeline",
-            "--roles",
-            "dns,web",
-            "--max-replicas",
-            "2",
-            "--points",
-            "4",
-            "--json",
-        ]
-        assert main(args) == 0
-        default = json.loads(capsys.readouterr().out)
-        assert main(args + ["--no-shared-memory"]) == 0
-        baseline = json.loads(capsys.readouterr().out)
-        assert default["designs"] == baseline["designs"]
 
     def test_help_epilog_documents_sharing(self, capsys):
         with pytest.raises(SystemExit):
