@@ -180,12 +180,11 @@ def test_staged_campaign_timeline_sweep(case_study, critical_policy):
     """The full pipeline: 27-design staged-campaign sweep, phase-aware."""
     designs = list(enumerate_designs(ROLES, max_replicas=MAX_REPLICAS))
     times = default_time_grid(720.0, POINTS)
-    from repro.evaluation import evaluate_timelines
+    from repro.evaluation import SweepEngine
 
-    staged = evaluate_timelines(
-        designs, times, case_study, critical_policy, campaign=CANARY_THEN_FLEET
-    )
-    plain = evaluate_timelines(designs, times, case_study, critical_policy)
+    engine = SweepEngine(case_study, critical_policy)
+    staged = engine.timeline(designs, times, campaign=CANARY_THEN_FLEET)
+    plain = engine.timeline(designs, times)
     assert len(staged) == 27
     for s, p in zip(staged, plain):
         assert s.phase_starts == (0.0, 48.0, 168.0)

@@ -31,7 +31,7 @@ from repro.ctmc.transient import (
     transient_distribution,
     transient_rewards,
 )
-from repro.evaluation import default_time_grid, enumerate_designs, evaluate_timelines
+from repro.evaluation import SweepEngine, default_time_grid, enumerate_designs
 
 ROLES = ("dns", "web", "app")
 MAX_REPLICAS = 3
@@ -116,9 +116,12 @@ def test_timeline_curves_over_design_space(benchmark, case_study, critical_polic
     designs = list(enumerate_designs(ROLES, max_replicas=MAX_REPLICAS))
     times = default_time_grid(720.0, POINTS)
 
-    timelines = benchmark(
-        evaluate_timelines, designs, times, case_study, critical_policy
-    )
+    def _timelines():
+        # A fresh engine per round: the engine memoises its results.
+        engine = SweepEngine(case_study, critical_policy)
+        return engine.timeline(designs, times)
+
+    timelines = benchmark(_timelines)
 
     assert len(timelines) == 27
     for timeline in timelines:

@@ -7,7 +7,7 @@ region 1 (phi=0.2, psi=0.9962) selects designs 4 and 5, region 2
 
 from __future__ import annotations
 
-from repro.evaluation import evaluate_designs
+from repro.evaluation import SweepEngine
 from repro.evaluation.charts import render_scatter, scatter_data
 from repro.evaluation.requirements import (
     PAPER_REGION_1_TWO_METRIC,
@@ -17,9 +17,8 @@ from repro.evaluation.requirements import (
 
 
 def _evaluate_five(case_study, critical_policy, five_designs):
-    return evaluate_designs(
-        five_designs, case_study=case_study, policy=critical_policy
-    )
+    # A fresh engine per round: the engine memoises its results.
+    return SweepEngine(case_study, critical_policy).evaluate(five_designs)
 
 
 def test_fig6_scatter(benchmark, case_study, critical_policy, five_designs):

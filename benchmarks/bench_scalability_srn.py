@@ -22,7 +22,7 @@ import time
 
 from repro.availability import NetworkAvailabilityModel
 from repro.availability.coa import coa_reward
-from repro.evaluation import SweepEngine, enumerate_designs
+from repro.evaluation import SweepEngine, enumerate_designs, pareto_front
 
 
 def _solve_uniform_design(aggregates, replicas):
@@ -105,9 +105,7 @@ def test_sweep_engine_design_space(benchmark, case_study, critical_policy):
 
     evaluations = benchmark(_sweep)
     assert len(evaluations) == 64
-    front = SweepEngine(
-        case_study=case_study, policy=critical_policy
-    ).pareto(evaluations)
+    front = pareto_front(evaluations)
     assert 0 < len(front) <= 64
     print(
         f"\n[scalability] engine sweep: {len(evaluations)} designs, "

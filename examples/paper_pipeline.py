@@ -20,7 +20,7 @@ from repro.enterprise import (
 from repro.evaluation import (
     AvailabilityEvaluator,
     SecurityEvaluator,
-    evaluate_designs,
+    SweepEngine,
     satisfying_designs,
 )
 from repro.evaluation.charts import (
@@ -84,9 +84,7 @@ def main() -> None:
 
     # Section IV: the five designs -----------------------------------------
     heading("Section IV - the five redundancy designs, after patch")
-    evaluations = evaluate_designs(
-        paper_designs(), case_study=case_study, policy=policy
-    )
+    evaluations = SweepEngine(case_study, policy).evaluate(paper_designs())
     print(design_comparison_table(evaluations, after_patch=True))
 
     heading("Fig. 6b - ASP vs COA after patch (ASCII scatter)")

@@ -13,7 +13,7 @@ time-resolved curves for the five paper designs plus two heterogeneous
 4. the time-to-patch-completion ranking of all seven designs.
 
 Every design's curves come from one batched uniformisation pass
-(`BatchTransientSolver`), fanned out through `evaluate_timelines`.
+(`BatchTransientSolver`), fanned out through `SweepEngine.timeline`.
 
 Usage::
 
@@ -23,7 +23,7 @@ Usage::
 from __future__ import annotations
 
 from repro.enterprise import HeterogeneousDesign, paper_designs, paper_variant_space
-from repro.evaluation import default_time_grid, evaluate_timelines
+from repro.evaluation import SweepEngine, default_time_grid
 from repro.vulnerability.diversity import diversity_database
 
 
@@ -57,7 +57,8 @@ def main() -> None:
     )
     designs = [*paper_designs(), diverse_web, diverse_db]
     times = default_time_grid(2160.0, 37)  # three monthly cycles, 60 h steps
-    timelines = evaluate_timelines(designs, times, database=diversity_database())
+    engine = SweepEngine(database=diversity_database())
+    timelines = engine.timeline(designs, times)
 
     print("== COA during the patch campaign (0 .. 2160 h, 60 h per column) ==")
     lo = min(timeline.min_coa for timeline in timelines)

@@ -3,7 +3,7 @@
 Real fleets rarely patch everything at once: a canary slice goes first,
 then a ramp, then the full fleet.  This walkthrough compares three
 rollout strategies for the paper's designs under the campaign-aware
-timeline subsystem (`evaluate_timelines(..., campaign=...)`):
+timeline subsystem (`SweepEngine.timeline(..., campaign=...)`):
 
 1. **big-bang** — every server patches at full rate from t = 0 (the
    paper's stationary model; byte-identical to no campaign at all),
@@ -28,7 +28,7 @@ Usage::
 from __future__ import annotations
 
 from repro.enterprise import paper_designs
-from repro.evaluation import default_time_grid, evaluate_timelines
+from repro.evaluation import SweepEngine, default_time_grid
 from repro.patching import BIG_BANG, CANARY_THEN_FLEET, CampaignPhase, PatchCampaign
 
 CANARY_BY_COUNT = PatchCampaign(
@@ -65,8 +65,9 @@ def main() -> None:
     for campaign in CAMPAIGNS:
         print(f"  {campaign}")
 
+    engine = SweepEngine()
     by_campaign = {
-        campaign: evaluate_timelines(designs, times, campaign=campaign)
+        campaign: engine.timeline(designs, times, campaign=campaign)
         for campaign in CAMPAIGNS
     }
 

@@ -128,7 +128,7 @@ def _reproduce(_: argparse.Namespace) -> int:
 
 def _designs(_: argparse.Namespace) -> int:
     from repro.enterprise import paper_designs
-    from repro.evaluation import evaluate_designs, satisfying_designs
+    from repro.evaluation import SweepEngine, satisfying_designs
     from repro.evaluation.report import design_comparison_table
     from repro.evaluation.requirements import (
         PAPER_REGION_1_MULTI_METRIC,
@@ -137,7 +137,7 @@ def _designs(_: argparse.Namespace) -> int:
         PAPER_REGION_2_TWO_METRIC,
     )
 
-    evaluations = evaluate_designs(paper_designs())
+    evaluations = SweepEngine().evaluate(paper_designs())
     print(design_comparison_table(evaluations))
     for label, region in (
         ("Eq.3 region 1", PAPER_REGION_1_TWO_METRIC),
@@ -293,6 +293,7 @@ def _dump_metrics(args: argparse.Namespace) -> None:
 
 def _sweep(args: argparse.Namespace) -> int:
     from repro.evaluation.report import design_comparison_table
+    from repro.evaluation.sweep import pareto_front
 
     from repro.errors import DeadlineExceeded, ReproError
 
@@ -332,7 +333,7 @@ def _sweep(args: argparse.Namespace) -> int:
         )
         print(json.dumps(payload, indent=2))
     else:
-        front = {id(e) for e in engine.pareto(evaluations)}
+        front = {id(e) for e in pareto_front(evaluations)}
         print(design_comparison_table(evaluations))
         labels = [e.label for e in evaluations if id(e) in front]
         print(f"\nPareto front (after patch): {', '.join(labels)}")
@@ -579,6 +580,8 @@ def _bundle(args: argparse.Namespace) -> int:
 
 def main(argv: Sequence[str] | None = None) -> int:
     """CLI dispatcher; returns the process exit code."""
+    from repro.ctmc.transient import TRANSIENT_METHODS
+
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description=(
@@ -617,12 +620,11 @@ def main(argv: Sequence[str] | None = None) -> int:
             "  evaluates that single design through the same engine stack.\n"
             "  'timeline --method' picks the transient backend: exact\n"
             "  uniformisation (default, bit-identical anchored iterates),\n"
-            "  krylov (scipy expm_multiply propagation), adaptive\n"
-            "  (steady-state-detecting uniformisation, error bounded by the\n"
-            "  solver tolerance) or auto (exact up to 5000 states, adaptive\n"
-            "  above).  REPRO_DENSE_THRESHOLD overrides the dense/sparse\n"
-            "  cutoff; steady solves above 5000 states use a preconditioned\n"
-            "  iterative path automatically.\n"
+            "  adaptive (steady-state-detecting uniformisation, error\n"
+            "  bounded by the solver tolerance) or auto (exact up to 5000\n"
+            "  states, adaptive above).  REPRO_DENSE_THRESHOLD overrides\n"
+            "  the dense/sparse cutoff; steady solves above 5000 states use\n"
+            "  a preconditioned iterative path automatically.\n"
             "\n"
             "observability:\n"
             "  -v/--verbose logs engine decisions (context builds, warm\n"
@@ -828,13 +830,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     )
     timeline.add_argument(
         "--method",
-        choices=("auto", "uniformisation", "krylov", "adaptive"),
+        choices=TRANSIENT_METHODS,
         default="uniformisation",
         help=(
             "transient propagation backend: exact uniformisation "
-            "(default), Krylov expm_multiply, steady-state-detecting "
-            "adaptive uniformisation, or size-dispatching auto "
-            "(exact up to 5000 states, adaptive above)"
+            "(default), steady-state-detecting adaptive uniformisation, "
+            "or size-dispatching auto (exact up to 5000 states, adaptive "
+            "above)"
         ),
     )
     timeline.add_argument(
@@ -1032,7 +1034,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     )
     shard.add_argument(
         "--method",
-        choices=("auto", "uniformisation", "krylov", "adaptive"),
+        choices=TRANSIENT_METHODS,
         default="uniformisation",
         help="timeline transient backend (see timeline --help)",
     )

@@ -6,13 +6,13 @@ before/after-patch snapshot a design gets in Figs. 6-7;
 :mod:`repro.evaluation.requirements` implements the Eq. (3) and Eq. (4)
 decision functions; :mod:`repro.evaluation.report` renders the paper's
 tables; :mod:`repro.evaluation.charts` produces the scatter/radar data
-(and ASCII renderings); :mod:`repro.evaluation.sweep` explores larger
+(and ASCII renderings); :mod:`repro.evaluation.sweep` enumerates larger
 design spaces — homogeneous replica counts and heterogeneous variant
 assignments alike, unified behind the
 :class:`~repro.enterprise.design.DesignSpec` protocol;
-:mod:`repro.evaluation.engine` scales those sweeps with caching and
-pluggable (serial/thread/process-pool) executors — including warm
-persistent pools; :mod:`repro.evaluation.service` keeps one warm engine
+:class:`SweepEngine` evaluates many designs (snapshots or timelines)
+with caching and pluggable (serial/thread/process-pool) executors —
+including warm persistent pools; :mod:`repro.evaluation.service` keeps one warm engine
 resident behind an HTTP/JSON API (``repro serve``);
 :mod:`repro.evaluation.cost` adds the operational-cost
 extension sketched in Section V.
@@ -25,8 +25,6 @@ from repro.evaluation.combined import (
     DesignEvaluation,
     DesignSnapshot,
     evaluate_design,
-    evaluate_designs,
-    evaluate_designs_shared,
 )
 from repro.evaluation.engine import (
     Executor,
@@ -48,14 +46,11 @@ from repro.evaluation.sweep import (
     enumerate_heterogeneous_designs,
     pareto_front,
     pareto_front_loop,
-    sweep_designs,
 )
 from repro.evaluation.timeline import (
     DesignTimeline,
     default_time_grid,
     evaluate_timeline,
-    evaluate_timelines,
-    evaluate_timelines_shared,
 )
 
 __all__ = [
@@ -64,8 +59,6 @@ __all__ = [
     "DesignSnapshot",
     "DesignEvaluation",
     "evaluate_design",
-    "evaluate_designs",
-    "evaluate_designs_shared",
     "SweepEngine",
     "Executor",
     "SerialExecutor",
@@ -76,7 +69,6 @@ __all__ = [
     "satisfying_designs",
     "enumerate_designs",
     "enumerate_heterogeneous_designs",
-    "sweep_designs",
     "pareto_front",
     "pareto_front_loop",
     "SensitivityEntry",
@@ -85,8 +77,6 @@ __all__ = [
     "DesignTimeline",
     "default_time_grid",
     "evaluate_timeline",
-    "evaluate_timelines",
-    "evaluate_timelines_shared",
     "PersistentEvaluationCache",
     "EvaluationService",
     "ServiceClient",

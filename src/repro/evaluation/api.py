@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -184,9 +185,15 @@ def parse_times(payload: dict) -> tuple[float, ...]:
         if not isinstance(times, (list, tuple)) or not times:
             raise ValidationError("times must be a non-empty list of hours")
         try:
-            return tuple(float(t) for t in times)
+            grid = tuple(float(t) for t in times)
         except (TypeError, ValueError) as exc:
             raise ValidationError(f"bad time grid: {exc}") from exc
+        for t in grid:
+            if not math.isfinite(t) or t < 0:
+                raise ValidationError(
+                    f"times must be finite and non-negative hours, got {t!r}"
+                )
+        return grid
     horizon = payload.get("horizon", 720.0)
     points = payload.get("points", 24)
     if not isinstance(horizon, (int, float)) or isinstance(horizon, bool):
@@ -235,10 +242,14 @@ def _parse_priority(value: object) -> str:
 
 
 def _parse_method(value: object) -> str:
+    from repro.ctmc.transient import TRANSIENT_METHODS
+
     if value is None:
         return "uniformisation"
-    if not isinstance(value, str) or not value:
-        raise ValidationError(f"method must be a backend name, got {value!r}")
+    if value not in TRANSIENT_METHODS:
+        raise ValidationError(
+            f"method must be one of {list(TRANSIENT_METHODS)}, got {value!r}"
+        )
     return value
 
 

@@ -20,7 +20,7 @@ from repro.evaluation.charts import (
     scatter_data,
     to_csv,
 )
-from repro.evaluation.combined import evaluate_designs
+from repro.evaluation.engine import SweepEngine
 from repro.evaluation.report import (
     aggregated_rates_table,
     design_comparison_table,
@@ -66,9 +66,7 @@ def write_experiment_bundle(
     example = example_network_design()
     security = SecurityEvaluator(case_study)
     availability = AvailabilityEvaluator(case_study, policy)
-    evaluations = evaluate_designs(
-        paper_designs(), case_study=case_study, policy=policy
-    )
+    evaluations = SweepEngine(case_study, policy).evaluate(paper_designs())
 
     written = [
         _write(

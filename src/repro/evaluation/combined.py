@@ -1,16 +1,18 @@
 """Joint security + availability snapshots per design (Figs. 6-7 data).
 
-Every entry point accepts any :class:`~repro.enterprise.design.DesignSpec`
-— homogeneous :class:`~repro.enterprise.design.RedundancyDesign` and
-diverse-stack :class:`~repro.enterprise.heterogeneous.HeterogeneousDesign`
-flow through the same evaluators and produce the same
+:func:`evaluate_design` accepts any
+:class:`~repro.enterprise.design.DesignSpec` — homogeneous
+:class:`~repro.enterprise.design.RedundancyDesign` and diverse-stack
+:class:`~repro.enterprise.heterogeneous.HeterogeneousDesign` flow
+through the same evaluators and produce the same
 :class:`DesignEvaluation` shape, so sweeps and Pareto ranking can mix
-design kinds freely.
+design kinds freely.  Many designs go through
+:meth:`repro.evaluation.engine.SweepEngine.evaluate`, which runs this
+function over one shared evaluator pair.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from dataclasses import dataclass
 
 from repro.enterprise.casestudy import EnterpriseCaseStudy, paper_case_study
@@ -25,8 +27,6 @@ __all__ = [
     "DesignSnapshot",
     "DesignEvaluation",
     "evaluate_design",
-    "evaluate_designs",
-    "evaluate_designs_shared",
 ]
 
 
@@ -74,8 +74,8 @@ def evaluate_design(
     """Evaluate one design before and after patching.
 
     With no arguments beyond *design*, uses the paper's case study and
-    critical-vulnerability policy.  Pass shared evaluator instances when
-    scoring many designs so lower-layer solutions are reused; *database*
+    critical-vulnerability policy.  Pass shared evaluator instances to
+    reuse lower-layer solutions across calls; *database*
     supplies variant vulnerability records for heterogeneous designs
     (ignored when explicit evaluators are given).
     """
@@ -100,103 +100,3 @@ def evaluate_design(
             security=security_evaluator.after_patch(design, policy), coa=coa
         ),
     )
-
-
-def evaluate_designs_shared(
-    designs: Iterable[DesignSpec],
-    case_study: EnterpriseCaseStudy,
-    policy: PatchPolicy,
-    database: VulnerabilityDatabase | None = None,
-    security_evaluator: SecurityEvaluator | None = None,
-    availability_evaluator: AvailabilityEvaluator | None = None,
-) -> list[DesignEvaluation]:
-    """Serial evaluation of *designs* with one shared evaluator pair.
-
-    This is the chunk primitive of the sweep engine: the shared
-    :class:`AvailabilityEvaluator` amortises the per-role (and
-    per-variant) lower-layer SRN solves and the per-pattern upper-layer
-    explorations across every design in the chunk, whatever mix of spec
-    kinds the chunk holds.  Pass evaluator instances (e.g. primed from
-    shared memory) to reuse their caches.
-
-    A failing design raises :class:`~repro.errors.EvaluationError`
-    carrying the design label and the original traceback — the error is
-    always picklable, so process-pool sweeps surface the real failure
-    instead of a bare ``BrokenProcessPool``.
-    """
-    if security_evaluator is None:
-        security_evaluator = SecurityEvaluator(case_study, database=database)
-    if availability_evaluator is None:
-        availability_evaluator = AvailabilityEvaluator(
-            case_study, policy, database=database
-        )
-    return [
-        _evaluate_labelled(
-            design,
-            case_study=case_study,
-            policy=policy,
-            security_evaluator=security_evaluator,
-            availability_evaluator=availability_evaluator,
-        )
-        for design in designs
-    ]
-
-
-def _evaluate_labelled(design: DesignSpec, **kwargs) -> DesignEvaluation:
-    """Evaluate one design, labelling any failure with the design.
-
-    Domain errors (:class:`~repro.errors.ReproError`) re-raise with the
-    design label prefixed — their messages are already self-explanatory.
-    Unexpected exceptions additionally embed the formatted traceback in
-    the message (and drop the exception chain), so they survive the
-    process-pool pickle boundary no matter what the original exception
-    type carried.
-    """
-    import traceback
-
-    from repro.errors import EvaluationError, ReproError
-
-    try:
-        return evaluate_design(design, **kwargs)
-    except ReproError as exc:
-        raise EvaluationError(
-            f"evaluating design {design.label!r} failed: "
-            f"{type(exc).__name__}: {exc}"
-        ) from None
-    except Exception as exc:
-        raise EvaluationError(
-            f"evaluating design {design.label!r} failed: "
-            f"{type(exc).__name__}: {exc}\n{traceback.format_exc()}"
-        ) from None
-
-
-def evaluate_designs(
-    designs: Iterable[DesignSpec],
-    case_study: EnterpriseCaseStudy | None = None,
-    policy: PatchPolicy | None = None,
-    executor: str | None = None,
-    max_workers: int | None = None,
-    database: VulnerabilityDatabase | None = None,
-) -> list[DesignEvaluation]:
-    """Evaluate many designs with shared (cached) evaluators.
-
-    *executor* selects a sweep-engine executor (``"serial"``,
-    ``"thread"`` or ``"process"``); the default runs in-process without
-    engine overhead.
-    """
-    if case_study is None:
-        case_study = paper_case_study()
-    if policy is None:
-        policy = CriticalVulnerabilityPolicy()
-    if executor is not None and executor != "serial":
-        from repro.evaluation.engine import SweepEngine
-
-        engine = SweepEngine(
-            case_study=case_study,
-            policy=policy,
-            executor=executor,
-            max_workers=max_workers,
-            database=database,
-        )
-        return engine.evaluate(designs)
-    return evaluate_designs_shared(designs, case_study, policy, database=database)

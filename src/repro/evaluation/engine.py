@@ -1,9 +1,11 @@
 """Parallel design-sweep engine over the security/availability pipeline.
 
-This module is the scaling entry point for whole-design-space studies
-(the paper's Figs. 6-7 generalised from five designs to thousands).  It
-wraps :func:`repro.evaluation.combined.evaluate_design` behind a
-:class:`SweepEngine` with pluggable executors and deterministic output.
+This module is the one entry point for evaluating many designs (the
+paper's Figs. 6-7 generalised from five designs to thousands).  It
+wraps the single-design :func:`repro.evaluation.combined.evaluate_design`
+and :func:`repro.evaluation.timeline.evaluate_timeline` behind
+:meth:`SweepEngine.evaluate` and :meth:`SweepEngine.timeline`, with
+pluggable executors and deterministic output.
 
 The engine is design-kind agnostic: anything implementing the
 :class:`~repro.enterprise.design.DesignSpec` protocol — homogeneous
@@ -84,6 +86,7 @@ from __future__ import annotations
 import logging
 import os
 import time
+import traceback
 from collections.abc import Callable, Iterable, Sequence
 from concurrent.futures import (
     BrokenExecutor,
@@ -98,9 +101,8 @@ from repro import observability
 from repro._validation import check_positive_int
 from repro.enterprise.casestudy import EnterpriseCaseStudy, paper_case_study
 from repro.enterprise.design import DesignSpec
-from repro.enterprise.roles import ServerRole
-from repro.errors import EvaluationError
-from repro.evaluation.combined import DesignEvaluation, evaluate_designs_shared
+from repro.errors import EvaluationError, ReproError
+from repro.evaluation.combined import DesignEvaluation, evaluate_design
 from repro.observability import tracing
 from repro.resilience.deadline import Deadline
 from repro.resilience.faults import active_plan, fault_point
@@ -509,32 +511,60 @@ def _solve_chunk(kind, designs, options, evaluators) -> list:
 
         evaluators = worker_evaluators()
     security, availability = evaluators
+    shared = {
+        "case_study": availability.case_study,
+        "policy": availability.policy,
+        "security_evaluator": security,
+        "availability_evaluator": availability,
+    }
     if kind == "evaluate":
         with tracing.span("chunk:evaluate", designs=len(designs)):
-            return evaluate_designs_shared(
-                designs,
-                availability.case_study,
-                availability.policy,
-                security_evaluator=security,
-                availability_evaluator=availability,
-            )
-    from repro.evaluation.timeline import evaluate_timelines_shared
+            return [
+                _labelled("evaluating design", design, evaluate_design, **shared)
+                for design in designs
+            ]
+    from repro.evaluation.timeline import evaluate_timeline
 
     times = options["times"]
     with tracing.span(
         "chunk:timeline", designs=len(designs), points=len(times)
     ):
-        return evaluate_timelines_shared(
-            designs,
-            times,
-            availability.case_study,
-            availability.policy,
-            tolerance=options["tolerance"],
-            security_evaluator=security,
-            availability_evaluator=availability,
-            campaign=options["campaign"],
-            method=options["method"],
-        )
+        return [
+            _labelled(
+                "timeline of design",
+                design,
+                evaluate_timeline,
+                times,
+                tolerance=options["tolerance"],
+                campaign=options["campaign"],
+                method=options["method"],
+                **shared,
+            )
+            for design in designs
+        ]
+
+
+def _labelled(what: str, design: DesignSpec, solve, *args, **kwargs):
+    """``solve(design, *args, **kwargs)``, labelling any failure.
+
+    Domain errors (:class:`~repro.errors.ReproError`) re-raise as
+    :class:`~repro.errors.EvaluationError` with the design label
+    prefixed — their messages are already self-explanatory.  Unexpected
+    exceptions additionally embed the formatted traceback in the message
+    (and drop the exception chain), so they survive the process-pool
+    pickle boundary no matter what the original exception type carried.
+    """
+    try:
+        return solve(design, *args, **kwargs)
+    except ReproError as exc:
+        raise EvaluationError(
+            f"{what} {design.label!r} failed: {type(exc).__name__}: {exc}"
+        ) from None
+    except Exception as exc:
+        raise EvaluationError(
+            f"{what} {design.label!r} failed: {type(exc).__name__}: {exc}"
+            f"\n{traceback.format_exc()}"
+        ) from None
 
 
 def _map_chunk(
@@ -582,8 +612,9 @@ class SweepEngine:
 
     Examples
     --------
+    >>> from repro.evaluation.sweep import enumerate_designs
     >>> engine = SweepEngine()
-    >>> evaluations = engine.sweep(["dns", "web"], max_replicas=2)
+    >>> evaluations = engine.evaluate(enumerate_designs(["dns", "web"], 2))
     >>> [e.design.total_servers for e in evaluations]
     [2, 3, 3, 4]
     """
@@ -843,45 +874,6 @@ class SweepEngine:
         if method != "uniformisation":
             parts = parts + (("method", method),)
         return self._disk_key(*parts)
-
-    def sweep(
-        self,
-        roles: Sequence[str],
-        max_replicas: int,
-        max_total: int | None = None,
-    ) -> list[DesignEvaluation]:
-        """Enumerate and evaluate every homogeneous design of the space."""
-        from repro.evaluation.sweep import enumerate_designs
-
-        return self.evaluate(enumerate_designs(roles, max_replicas, max_total))
-
-    def sweep_variants(
-        self,
-        roles: Sequence[str],
-        variants: dict[str, Sequence[ServerRole]],
-        max_replicas: int,
-        max_total: int | None = None,
-    ) -> list[DesignEvaluation]:
-        """Enumerate and evaluate the heterogeneous (diversity) space.
-
-        *variants* maps each role to its candidate stacks; see
-        :func:`repro.evaluation.sweep.enumerate_heterogeneous_designs`.
-        """
-        from repro.evaluation.sweep import enumerate_heterogeneous_designs
-
-        return self.evaluate(
-            enumerate_heterogeneous_designs(roles, variants, max_replicas, max_total)
-        )
-
-    def pareto(
-        self,
-        evaluations: Iterable[DesignEvaluation],
-        after_patch: bool = True,
-    ) -> list[DesignEvaluation]:
-        """The (lower ASP, higher COA) Pareto front of *evaluations*."""
-        from repro.evaluation.sweep import pareto_front
-
-        return pareto_front(evaluations, after_patch=after_patch)
 
     def map(self, fn: Callable[[Any], Any], items: Iterable[Any]) -> list:
         """Ordered map of a picklable *fn* over *items* via the executor.

@@ -14,19 +14,15 @@ from itertools import product
 import numpy as np
 
 from repro._validation import check_positive_int
-from repro.enterprise.casestudy import EnterpriseCaseStudy
-from repro.enterprise.design import DesignSpec, RedundancyDesign
+from repro.enterprise.design import RedundancyDesign
 from repro.enterprise.heterogeneous import HeterogeneousDesign
 from repro.enterprise.roles import ServerRole
 from repro.errors import ValidationError
-from repro.evaluation.combined import DesignEvaluation, evaluate_designs
-from repro.patching.policy import PatchPolicy
-from repro.vulnerability.database import VulnerabilityDatabase
+from repro.evaluation.combined import DesignEvaluation
 
 __all__ = [
     "enumerate_designs",
     "enumerate_heterogeneous_designs",
-    "sweep_designs",
     "pareto_front",
     "pareto_front_loop",
 ]
@@ -109,30 +105,6 @@ def enumerate_heterogeneous_designs(
         if max_total is not None and total > max_total:
             continue
         yield HeterogeneousDesign(dict(zip(roles, combo)))
-
-
-def sweep_designs(
-    case_study: EnterpriseCaseStudy,
-    policy: PatchPolicy,
-    designs: Iterable[DesignSpec],
-    executor: str | None = None,
-    max_workers: int | None = None,
-    database: VulnerabilityDatabase | None = None,
-) -> list[DesignEvaluation]:
-    """Evaluate an arbitrary design collection with shared caches.
-
-    *designs* may mix homogeneous and heterogeneous specs.
-    *executor*/*max_workers* select a :mod:`repro.evaluation.engine`
-    executor for large spaces; the default stays serial and in-process.
-    """
-    return evaluate_designs(
-        list(designs),
-        case_study=case_study,
-        policy=policy,
-        executor=executor,
-        max_workers=max_workers,
-        database=database,
-    )
 
 
 def _pareto_axes(

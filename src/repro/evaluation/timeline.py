@@ -23,10 +23,11 @@ for any :class:`~repro.enterprise.design.DesignSpec`:
   fraction — the attack surface decays exactly as fast as the campaign
   retires unpatched servers.
 
-:func:`evaluate_timelines` fans whole design spaces out through the
-:class:`~repro.evaluation.engine.SweepEngine` executors with the same
-chunked, deterministic, cache-friendly dispatch as the steady-state
-sweep.
+:func:`evaluate_timeline` scores one design;
+:meth:`SweepEngine.timeline <repro.evaluation.engine.SweepEngine.timeline>`
+fans whole design spaces out over one shared evaluator pair, with the
+same chunked, deterministic, cache-friendly dispatch as the
+steady-state sweep.
 
 Staged rollouts
 ---------------
@@ -47,7 +48,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,7 +61,7 @@ from repro.enterprise.heterogeneous import (
     HeterogeneousDesign,
     check_design_kind as _check_spec_kind,
 )
-from repro.errors import CtmcError, EvaluationError, ReproError, SolverError
+from repro.errors import CtmcError, EvaluationError, SolverError
 from repro.evaluation.availability import AvailabilityEvaluator
 from repro.evaluation.security import SecurityEvaluator
 from repro.harm import SecurityMetrics
@@ -72,8 +73,6 @@ __all__ = [
     "DesignTimeline",
     "default_time_grid",
     "evaluate_timeline",
-    "evaluate_timelines",
-    "evaluate_timelines_shared",
     "timeline_payload",
 ]
 
@@ -87,8 +86,8 @@ def default_time_grid(horizon: float = 720.0, points: int = 24) -> tuple[float, 
 
     The default spans the paper's monthly (720 h) patch interval.
     """
-    if horizon <= 0:
-        raise EvaluationError(f"horizon must be > 0, got {horizon}")
+    if not 0 < horizon < math.inf:
+        raise EvaluationError(f"horizon must be finite and > 0, got {horizon}")
     if points < 2:
         raise EvaluationError(f"points must be >= 2, got {points}")
     step = horizon / (points - 1)
@@ -656,113 +655,4 @@ def evaluate_timeline(
         after=security_evaluator.after_patch(design, policy),
         campaign=campaign,
         phase_starts=phase_starts,
-    )
-
-
-def evaluate_timelines_shared(
-    designs: Iterable[DesignSpec],
-    times: Sequence[float],
-    case_study: EnterpriseCaseStudy,
-    policy: PatchPolicy,
-    database: VulnerabilityDatabase | None = None,
-    tolerance: float = 1e-10,
-    security_evaluator: SecurityEvaluator | None = None,
-    availability_evaluator: AvailabilityEvaluator | None = None,
-    campaign: PatchCampaign | None = None,
-    method: str = "uniformisation",
-) -> list[DesignTimeline]:
-    """Serial timelines of *designs* with one shared evaluator pair.
-
-    The chunk primitive of :meth:`SweepEngine.timeline`: the shared
-    :class:`AvailabilityEvaluator` amortises the per-role and
-    per-variant lower-layer SRN solves and the per-pattern canonical
-    explorations across every design in the chunk, whatever mix of spec
-    kinds the chunk holds.  Pass evaluator instances (e.g. primed from
-    shared memory) to reuse their caches.  Failures carry the design label and original traceback in
-    a picklable :class:`~repro.errors.EvaluationError`.
-    """
-    import traceback
-
-    if security_evaluator is None:
-        security_evaluator = SecurityEvaluator(case_study, database=database)
-    if availability_evaluator is None:
-        availability_evaluator = AvailabilityEvaluator(
-            case_study, policy, database=database
-        )
-    results: list[DesignTimeline] = []
-    for design in designs:
-        try:
-            results.append(
-                evaluate_timeline(
-                    design,
-                    times,
-                    case_study=case_study,
-                    policy=policy,
-                    security_evaluator=security_evaluator,
-                    availability_evaluator=availability_evaluator,
-                    tolerance=tolerance,
-                    campaign=campaign,
-                    method=method,
-                )
-            )
-        except ReproError as exc:
-            raise EvaluationError(
-                f"timeline of design {design.label!r} failed: "
-                f"{type(exc).__name__}: {exc}"
-            ) from None
-        except Exception as exc:
-            raise EvaluationError(
-                f"timeline of design {design.label!r} failed: "
-                f"{type(exc).__name__}: {exc}\n{traceback.format_exc()}"
-            ) from None
-    return results
-
-
-def evaluate_timelines(
-    designs: Iterable[DesignSpec],
-    times: Sequence[float],
-    case_study: EnterpriseCaseStudy | None = None,
-    policy: PatchPolicy | None = None,
-    executor: str | None = None,
-    max_workers: int | None = None,
-    database: VulnerabilityDatabase | None = None,
-    tolerance: float = 1e-10,
-    campaign: PatchCampaign | None = None,
-    method: str = "uniformisation",
-) -> list[DesignTimeline]:
-    """Timelines of many designs, optionally fanned out in parallel.
-
-    *executor* selects a sweep-engine executor (``"serial"``,
-    ``"thread"`` or ``"process"``); the default runs in-process without
-    engine overhead.  Results are in input order and byte-identical
-    across executors.  *campaign* stages the rollout (shared by every
-    design; completion-fraction triggers still resolve per design).
-    """
-    if case_study is None:
-        case_study = paper_case_study()
-    if policy is None:
-        policy = CriticalVulnerabilityPolicy()
-    if executor is not None and executor != "serial":
-        from repro.evaluation.engine import SweepEngine
-
-        engine = SweepEngine(
-            case_study=case_study,
-            policy=policy,
-            executor=executor,
-            max_workers=max_workers,
-            database=database,
-        )
-        return engine.timeline(
-            designs, times, tolerance=tolerance, campaign=campaign,
-            method=method,
-        )
-    return evaluate_timelines_shared(
-        designs,
-        times,
-        case_study,
-        policy,
-        database=database,
-        tolerance=tolerance,
-        campaign=campaign,
-        method=method,
     )

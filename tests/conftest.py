@@ -13,7 +13,7 @@ from repro.enterprise import (
     paper_case_study,
     paper_designs,
 )
-from repro.evaluation import AvailabilityEvaluator, evaluate_designs
+from repro.evaluation import AvailabilityEvaluator, SweepEngine
 from repro.patching import CriticalVulnerabilityPolicy
 from repro.vulnerability import paper_database
 
@@ -51,9 +51,7 @@ def five_designs():
 @pytest.fixture(scope="session")
 def design_evaluations(case_study, critical_policy, five_designs):
     """Before/after snapshots of the five paper designs."""
-    return evaluate_designs(
-        five_designs, case_study=case_study, policy=critical_policy
-    )
+    return SweepEngine(case_study, critical_policy).evaluate(five_designs)
 
 
 @pytest.fixture(scope="session")

@@ -2,8 +2,9 @@
 
 Covers the sparse-first solver paths: dense/sparse threshold overrides
 (constructor + ``REPRO_DENSE_THRESHOLD``), boundary parity at
-``n == threshold +- 1``, Krylov-vs-uniformisation agreement (including
-the 2401-state paper-scale canonical model), adaptive early exit, and
+``n == threshold +- 1``, agreement of both backends with an independent
+Krylov oracle (:func:`scipy.sparse.linalg.expm_multiply`, including the
+2401-state paper-scale canonical model), adaptive early exit, and
 ``auto`` size dispatch.
 """
 
@@ -13,6 +14,7 @@ import logging
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import expm_multiply
 
 from repro.ctmc import Ctmc
 from repro.ctmc.transient import (
@@ -24,6 +26,9 @@ from repro.ctmc.transient import (
 from repro.errors import SolverError
 
 TIMES = [0.0, 0.3, 1.5, 6.0, 40.0]
+
+#: The backends checked against the Krylov oracle.
+BACKENDS = ("uniformisation", "adaptive")
 
 
 def birth_death(n, up=1.1, down=2.3):
@@ -38,6 +43,13 @@ def initial(n):
     vector = np.zeros(n)
     vector[0] = 1.0
     return vector
+
+
+def krylov_oracle(generator, pi0, times):
+    """``pi0 exp(Q t)`` per time by ``expm_multiply``: shares no code
+    with uniformisation."""
+    qt = generator.tocsr().astype(float).transpose().tocsr()
+    return np.array([expm_multiply(qt * t, pi0) for t in times])
 
 
 class TestThresholdOverrides:
@@ -131,40 +143,52 @@ class TestBoundaryParity:
 
 
 class TestKrylov:
+    """Uniformisation and adaptive against the ``expm_multiply`` oracle."""
+
     def test_matches_uniformisation(self):
         chain = birth_death(30)
-        exact = BatchTransientSolver(chain)
-        krylov = BatchTransientSolver(chain, method="krylov")
-        assert krylov.backend == "krylov"
-        a = exact.distributions(initial(30), TIMES)
-        b = krylov.distributions(initial(30), TIMES)
-        np.testing.assert_allclose(a, b, rtol=0.0, atol=1e-10)
+        expected = krylov_oracle(chain.generator(), initial(30), TIMES)
+        for method in BACKENDS:
+            solver = BatchTransientSolver(chain, method=method)
+            np.testing.assert_allclose(
+                solver.distributions(initial(30), TIMES),
+                expected,
+                rtol=0.0,
+                atol=1e-8,
+            )
 
     def test_time_zero_and_duplicates(self):
         chain = birth_death(12)
-        krylov = BatchTransientSolver(chain, method="krylov")
-        out = krylov.distributions(initial(12), [2.0, 0.0, 2.0])
-        assert out[0] == pytest.approx(out[2], abs=0.0)
-        assert out[1] == pytest.approx(initial(12), abs=0.0)
+        expected = krylov_oracle(chain.generator(), initial(12), [2.0])[0]
+        for method in BACKENDS:
+            solver = BatchTransientSolver(chain, method=method)
+            out = solver.distributions(initial(12), [2.0, 0.0, 2.0])
+            assert np.array_equal(out[0], out[2])
+            assert np.array_equal(out[1], initial(12))
+            np.testing.assert_allclose(out[0], expected, rtol=0.0, atol=1e-8)
 
     def test_unsorted_times(self):
         chain = birth_death(12)
-        exact = BatchTransientSolver(chain)
-        krylov = BatchTransientSolver(chain, method="krylov")
         times = [5.0, 0.5, 2.0]
-        np.testing.assert_allclose(
-            krylov.distributions(initial(12), times),
-            exact.distributions(initial(12), times),
-            rtol=0.0,
-            atol=1e-10,
-        )
+        expected = krylov_oracle(chain.generator(), initial(12), times)
+        for method in BACKENDS:
+            solver = BatchTransientSolver(chain, method=method)
+            np.testing.assert_allclose(
+                solver.distributions(initial(12), times),
+                expected,
+                rtol=0.0,
+                atol=1e-8,
+            )
 
     def test_rewards_shape(self):
         chain = birth_death(12)
-        krylov = BatchTransientSolver(chain, method="krylov")
         rewards = np.linspace(0.0, 1.0, 12)
-        out = krylov.rewards(initial(12), rewards, TIMES)
-        assert out.shape == (len(TIMES),)
+        expected = krylov_oracle(chain.generator(), initial(12), TIMES) @ rewards
+        for method in BACKENDS:
+            solver = BatchTransientSolver(chain, method=method)
+            out = solver.rewards(initial(12), rewards, TIMES)
+            assert out.shape == (len(TIMES),)
+            np.testing.assert_allclose(out, expected, rtol=0.0, atol=1e-8)
 
 
 class TestPaperScaleModel:
@@ -183,10 +207,15 @@ class TestPaperScaleModel:
 
     def test_krylov_within_tolerance(self, structure, slot_rates):
         times = [0.0, 24.0, 72.0, 168.0]
-        exact = structure.transient_coa(slot_rates, times)
-        krylov = structure.transient_coa(slot_rates, times, method="krylov")
+        generator = structure.solver().generator(
+            structure.rate_values(slot_rates)
+        )
+        oracle = krylov_oracle(generator, structure.initial, times)
+        expected = oracle @ structure.reward
         assert structure.n_states == 2401
-        np.testing.assert_allclose(krylov, exact, rtol=0.0, atol=1e-8)
+        for method in BACKENDS:
+            curve = structure.transient_coa(slot_rates, times, method=method)
+            np.testing.assert_allclose(curve, expected, rtol=0.0, atol=1e-8)
 
     def test_adaptive_within_tolerance(self, structure, slot_rates):
         times = [0.0, 24.0, 72.0, 168.0, 720.0]
@@ -268,7 +297,7 @@ class TestAdaptive:
 class TestFrozenChain:
     def test_all_methods_serve_pi0(self):
         chain = Ctmc(["a", "b"])  # no transitions at all
-        for method in ("uniformisation", "krylov", "adaptive", "auto"):
+        for method in ("uniformisation", "adaptive", "auto"):
             solver = BatchTransientSolver(chain, method=method)
             assert solver.backend == "frozen"
             out = solver.distributions({"a": 1.0}, [0.0, 9.0])

@@ -127,7 +127,7 @@ class TestRequests:
         request = api.TimelineRequest.from_payload(
             {
                 "space": {"roles": ["dns"], "max_replicas": 2},
-                "options": {"times": [1.0, 2.0], "method": "krylov"},
+                "options": {"times": [1.0, 2.0], "method": "adaptive"},
                 "priority": "batch",
             }
         )

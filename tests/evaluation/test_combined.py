@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.evaluation import evaluate_design, evaluate_designs
+from repro.evaluation import SweepEngine, evaluate_design
 
 
 class TestEvaluateDesign:
@@ -29,9 +29,8 @@ class TestEvaluateDesign:
     def test_evaluate_designs_shares_caches(
         self, case_study, critical_policy, five_designs
     ):
-        evaluations = evaluate_designs(
-            five_designs, case_study=case_study, policy=critical_policy
-        )
+        engine = SweepEngine(case_study, critical_policy)
+        evaluations = engine.evaluate(five_designs)
         assert len(evaluations) == 5
         assert [e.design for e in evaluations] == five_designs
 

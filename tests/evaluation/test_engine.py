@@ -12,9 +12,7 @@ from repro.evaluation import (
     SerialExecutor,
     SweepEngine,
     enumerate_designs,
-    evaluate_designs,
-    pareto_front,
-    sweep_designs,
+    evaluate_design,
 )
 from repro.evaluation.engine import (
     ProcessExecutor,
@@ -111,19 +109,6 @@ class TestSweepEngine:
         engine.evaluate(small_space)
         assert executor.batches_run == ran
 
-    def test_sweep_matches_enumerate_plus_evaluate(self):
-        engine = SweepEngine()
-        swept = engine.sweep(["dns", "web"], max_replicas=2, max_total=3)
-        manual = engine.evaluate(
-            enumerate_designs(["dns", "web"], max_replicas=2, max_total=3)
-        )
-        assert swept == manual
-
-    def test_pareto_delegates_to_pareto_front(self, small_space):
-        engine = SweepEngine()
-        evaluations = engine.evaluate(small_space)
-        assert engine.pareto(evaluations) == pareto_front(evaluations)
-
     def test_map_is_ordered(self, small_space):
         engine = SweepEngine(chunk_size=3)
         totals = engine.map(_total_servers, small_space)
@@ -169,26 +154,6 @@ class TestSweepEngine:
 
 
 class TestModuleLevelApi:
-    def test_evaluate_designs_executor_kwarg(self, small_space, case_study, critical_policy):
-        serial = evaluate_designs(
-            small_space, case_study=case_study, policy=critical_policy
-        )
-        parallel = evaluate_designs(
-            small_space,
-            case_study=case_study,
-            policy=critical_policy,
-            executor="process",
-            max_workers=2,
-        )
-        assert serial == parallel
-
-    def test_sweep_designs_executor_kwarg(self, small_space, case_study, critical_policy):
-        default = sweep_designs(case_study, critical_policy, small_space)
-        engine_run = sweep_designs(
-            case_study, critical_policy, small_space, executor="serial"
-        )
-        assert default == engine_run
-
     def test_chunk_worker_matches_serial(self, small_space, case_study, critical_policy):
         from repro.evaluation import AvailabilityEvaluator, SecurityEvaluator
 
@@ -199,9 +164,10 @@ class TestModuleLevelApi:
         chunked = _chunk_task(
             "evaluate", small_space, {"telemetry": None}, evaluators
         )
-        assert chunked == evaluate_designs(
-            small_space, case_study=case_study, policy=critical_policy
-        )
+        assert chunked == [
+            evaluate_design(design, case_study, critical_policy)
+            for design in small_space
+        ]
 
 
 class TestProcessExecutor:

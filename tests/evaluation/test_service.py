@@ -169,6 +169,9 @@ class TestValidation:
         [
             {"times": []},
             {"times": ["soon"]},
+            {"times": [-1.0]},
+            {"times": [float("nan")]},
+            {"times": [float("inf")]},
             {"horizon": "late"},
             {"points": 2.5},
             {"phases": ["canary"]},

@@ -91,6 +91,32 @@ class TestEnvelope:
         assert body["error"]["code"] == "invalid_request"
         assert "unknown role" in body["error"]["message"]
 
+    @pytest.mark.parametrize(
+        "options",
+        [
+            {"method": "bogus"},
+            {"method": "AUTO"},
+            {"method": 3},
+            {"times": [-1.0]},
+            {"times": [float("nan")]},
+            {"times": [float("inf")]},
+            {"horizon": float("nan")},
+            {"horizon": float("inf")},
+        ],
+    )
+    def test_bad_timeline_options_are_invalid_request(
+        self, serial_service, options
+    ):
+        """Rejected while parsing the envelope: 400, never 500/internal."""
+        _, client = serial_service
+        status, body = client.request(
+            "POST",
+            "/v1/timeline",
+            {"space": {"roles": ["dns"], "max_replicas": 1}, "options": options},
+        )
+        assert status == 400
+        assert body["error"]["code"] == "invalid_request"
+
     def test_v1_unknown_path_is_not_found(self, serial_service):
         _, client = serial_service
         status, body = client.request("GET", "/v1/bogus")

@@ -416,21 +416,18 @@ class TestWorkerFailureReporting:
     def test_unexpected_failure_carries_label_and_traceback(
         self, case_study, critical_policy
     ):
-        from repro.evaluation.combined import evaluate_designs_shared
-
         design = RedundancyDesign({"dns": 1})
 
         class ExplodingSecurity:
             def before_patch(self, design):
                 raise TypeError("boom from a plain bug")
 
+        evaluators = (
+            ExplodingSecurity(),
+            AvailabilityEvaluator(case_study, critical_policy),
+        )
         with pytest.raises(EvaluationError) as excinfo:
-            evaluate_designs_shared(
-                [design],
-                case_study,
-                critical_policy,
-                security_evaluator=ExplodingSecurity(),
-            )
+            _chunk_task("evaluate", [design], {"telemetry": None}, evaluators)
         message = str(excinfo.value)
         assert design.label in message
         assert "TypeError" in message

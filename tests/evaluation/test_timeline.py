@@ -18,7 +18,6 @@ from repro.evaluation import (
     SweepEngine,
     default_time_grid,
     evaluate_timeline,
-    evaluate_timelines,
 )
 from repro.evaluation.timeline import _completion_chain, _patch_groups
 from repro.vulnerability.diversity import diversity_database
@@ -183,8 +182,10 @@ class TestEngineTimeline:
 
     def test_evaluate_timelines_entrypoint_matches_engine(self, grid):
         designs = paper_designs()[:3]
-        direct = evaluate_timelines(designs, grid)
-        threaded = evaluate_timelines(designs, grid, executor="thread", max_workers=2)
+        direct = [evaluate_timeline(design, grid) for design in designs]
+        threaded = SweepEngine(executor="thread", max_workers=2).timeline(
+            designs, grid
+        )
         for a, b in zip(direct, threaded):
             assert a.coa == b.coa
             assert a.completion_probability == b.completion_probability

@@ -20,7 +20,6 @@ from repro.evaluation import (
     SweepEngine,
     enumerate_designs,
     enumerate_heterogeneous_designs,
-    evaluate_designs,
     pareto_front,
     pareto_front_loop,
 )
@@ -210,13 +209,13 @@ class TestHomogeneousHeterogeneousParity:
     ):
         homogeneous = RedundancyDesign(self.COUNTS)
         heterogeneous = _mirrored_hetero(case_study, self.COUNTS)
-        hetero_eval, homog_eval = evaluate_designs(
-            [heterogeneous, homogeneous],
-            case_study=case_study,
-            policy=critical_policy,
-            executor=None if executor == "serial" else executor,
-            max_workers=2,
+        engine = SweepEngine(
+            case_study,
+            critical_policy,
+            executor=executor,
+            max_workers=None if executor == "serial" else 2,
         )
+        hetero_eval, homog_eval = engine.evaluate([heterogeneous, homogeneous])
         assert hetero_eval.before == homog_eval.before
         assert hetero_eval.after == homog_eval.after
         # Float bit patterns, not approximate equality.
@@ -309,7 +308,7 @@ class TestUnifiedEngine:
         )
         evaluations = engine.evaluate(mixed)
         assert [e.design for e in evaluations] == mixed
-        front = engine.pareto(evaluations)
+        front = pareto_front(evaluations)
         assert front
         assert set(front) <= set(evaluations)
 
