@@ -92,6 +92,8 @@ import logging
 import sys
 from collections.abc import Sequence
 
+from repro._methods import TRANSIENT_METHODS
+
 __all__ = ["main"]
 
 
@@ -580,8 +582,6 @@ def _bundle(args: argparse.Namespace) -> int:
 
 def main(argv: Sequence[str] | None = None) -> int:
     """CLI dispatcher; returns the process exit code."""
-    from repro.ctmc.transient import TRANSIENT_METHODS
-
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description=(

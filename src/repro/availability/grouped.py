@@ -200,13 +200,15 @@ def canonical_coa_reward(layout: CanonicalLayout):
     """Table VI reward over canonical markings: running fraction, 0 on
     any tier with no server up (the tier-up condition couples a tier's
     groups, matching the heterogeneous model's reward)."""
-    tier_slots = layout.tier_slots()
+    tier_places = [
+        [up_place(_slot_name(s)) for s in slots] for slots in layout.tier_slots()
+    ]
     total = layout.total_servers
 
     def reward(marking) -> float:
         running = 0
-        for slots in tier_slots:
-            tier_up = sum(marking[up_place(_slot_name(s))] for s in slots)
+        for places in tier_places:
+            tier_up = sum(marking[place] for place in places)
             if tier_up == 0:
                 return 0.0
             running += tier_up
@@ -341,23 +343,27 @@ def coa_structure(
     index = {marking: i for i, marking in enumerate(tangible)}
     place_count = 2 * layout.n_slots
 
+    # Slot s owns places 2s (up) and 2s + 1 (down); its patch and repair
+    # deltas are built once, not per marking.
+    moves: list[tuple[int, tuple[int, ...], tuple[int, ...]]] = []
+    for slot in range(layout.n_slots):
+        patch = [0] * place_count
+        patch[2 * slot] = -1
+        patch[2 * slot + 1] = 1
+        moves.append((2 * slot, tuple(patch), tuple(-d for d in patch)))
+
     edges: list[tuple[int, int, float, int]] = []
     for i, marking in enumerate(tangible):
-        for slot in range(layout.n_slots):
-            up_tokens = marking[up_place(_slot_name(slot))]
-            down_tokens = marking[f"P{_slot_name(slot)}d"]
+        tokens = marking.tokens
+        for up, patch, repair in moves:
+            up_tokens = tokens[up]
+            down_tokens = tokens[up + 1]
             if up_tokens > 0:
-                delta = [0] * place_count
-                delta[2 * slot] = -1
-                delta[2 * slot + 1] = 1
-                j = index[marking.with_delta(tuple(delta))]
-                edges.append((i, j, float(up_tokens), 2 * slot))
+                j = index[marking.with_delta(patch)]
+                edges.append((i, j, float(up_tokens), up))
             if down_tokens > 0:
-                delta = [0] * place_count
-                delta[2 * slot] = 1
-                delta[2 * slot + 1] = -1
-                j = index[marking.with_delta(tuple(delta))]
-                edges.append((i, j, float(down_tokens), 2 * slot + 1))
+                j = index[marking.with_delta(repair)]
+                edges.append((i, j, float(down_tokens), up + 1))
     edges.sort(key=lambda edge: (edge[0], edge[1]))
 
     reward_fn = canonical_coa_reward(layout)

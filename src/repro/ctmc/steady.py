@@ -328,7 +328,15 @@ def _finalise_pi(pi: np.ndarray, label: str) -> np.ndarray:
 
 
 def _gth_core(q: np.ndarray) -> np.ndarray:
-    """GTH elimination given the dense generator ``Q`` (n >= 2)."""
+    """GTH elimination given the dense generator ``Q`` (n >= 2).
+
+    Each elimination step is one rank-1 update over the non-zero columns
+    of the pivot row; it is bit-identical to the scalar column loop
+    because every touched element still gets exactly one product
+    ``a[i, k] * a[k, j]`` and one addition (the columns are independent:
+    none reads a column another writes), and zero columns are skipped
+    just as before, so an ``inf * 0`` never enters the matrix.
+    """
     _STEADY_SOLVES.inc(path="gth")
     n = q.shape[0]
     # Work on the off-diagonal rate matrix.
@@ -346,9 +354,8 @@ def _gth_core(q: np.ndarray) -> np.ndarray:
                 "the chain is reducible"
             )
         a[:k, k] /= total
-        for j in range(k):
-            if a[k, j] != 0.0:
-                a[:k, j] += a[:k, k] * a[k, j]
+        nz = np.flatnonzero(a[k, :k])
+        a[:k, nz] += np.multiply.outer(a[:k, k], a[k, nz])
     # Back substitution.
     pi = np.zeros(n)
     pi[0] = 1.0

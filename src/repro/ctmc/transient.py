@@ -64,8 +64,9 @@ from collections.abc import Mapping, Sequence
 import numpy as np
 from scipy import sparse
 
+from repro._methods import TRANSIENT_METHODS
 from repro.ctmc.chain import Ctmc, State
-from repro.errors import SolverError
+from repro.errors import SolverError, ValidationError
 from repro.observability import metrics as _metrics
 from repro.observability import tracing as _tracing
 from repro.resilience.faults import fault_point
@@ -112,6 +113,15 @@ _DENSE_CUTOFF_ENV = "REPRO_DENSE_THRESHOLD"
 #: per-side cap of the list-based implementation).
 _MAX_POISSON_TERMS = 100_000
 
+#: Largest Poisson mean ``Lambda t`` a time point may need.  Uniformisation
+#: streams about ``Lambda t`` iterates, so an unbounded time would tie up
+#: the caller indefinitely; beyond this the time is rejected before any
+#: iterate is computed.  A one-DNS design at t = 1e7 h needs ~1.5e7
+#: (~1.4 s for its whole timeline on 2 CPUs); at the limit the same
+#: timeline takes ~10 s.  Work per iterate still grows with the state
+#: count, so large chains near the limit stay slow.
+_MAX_POISSON_MEAN = 1e8
+
 #: Memory cap (in matrix entries) for the dense block-power table; the
 #: block size is chosen so ``block * n * n`` stays below this.
 #: Overridable per solver (``block_entry_budget=``) or via the
@@ -125,9 +135,6 @@ _BLOCK_BUDGET_ENV = "REPRO_DENSE_BLOCK_BUDGET"
 #: stay bit-identical.  Overridable via ``REPRO_AUTO_METHOD_THRESHOLD``.
 _AUTO_CUTOFF = 5000
 _AUTO_CUTOFF_ENV = "REPRO_AUTO_METHOD_THRESHOLD"
-
-#: The accepted ``method=`` names, default first.
-TRANSIENT_METHODS = ("uniformisation", "adaptive", "auto")
 
 
 def _positive_int(value: object, label: str) -> int:
@@ -867,10 +874,17 @@ def _poisson_weights(mean: float, tolerance: float) -> tuple[np.ndarray, int]:
     Returns the weights and the left truncation index.  Weights are
     computed in a numerically stable way by starting at the mode; the
     recurrence on both sides runs as one numpy cumulative product
-    instead of a Python list walk.
+    instead of a Python list walk.  A mean above
+    :data:`_MAX_POISSON_MEAN` raises :class:`~repro.errors.ValidationError`.
     """
     if mean <= 0:
         return np.array([1.0]), 0
+    if not mean <= _MAX_POISSON_MEAN:
+        raise ValidationError(
+            f"time point needs a uniformisation Poisson mean (rate x time) of "
+            f"{mean:.3g}, above the limit {_MAX_POISSON_MEAN:.0e}; "
+            "use a shorter time horizon"
+        )
     mode = int(mean)
     cut = tolerance * 1e-4
 

@@ -44,6 +44,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro._methods import TRANSIENT_METHODS
 from repro.errors import ValidationError
 
 __all__ = [
@@ -242,8 +243,6 @@ def _parse_priority(value: object) -> str:
 
 
 def _parse_method(value: object) -> str:
-    from repro.ctmc.transient import TRANSIENT_METHODS
-
     if value is None:
         return "uniformisation"
     if value not in TRANSIENT_METHODS:

@@ -7,6 +7,7 @@ mirroring SPNP's ``#Phwup`` notation.
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Iterator, Mapping
 
 from repro.errors import SrnError
@@ -80,8 +81,8 @@ class Marking:
 
     def with_delta(self, delta: tuple[int, ...]) -> "Marking":
         """A new marking with *delta* added element-wise."""
-        tokens = tuple(t + d for t, d in zip(self._tokens, delta))
-        if any(t < 0 for t in tokens):
+        tokens = tuple(map(operator.add, self._tokens, delta))
+        if min(tokens, default=0) < 0:
             raise SrnError(f"negative token count after delta {delta!r}")
         return Marking(self._index, tokens)
 

@@ -67,11 +67,12 @@ class Transition:
 
     def is_enabled(self, marking: Marking) -> bool:
         """Structural + guard enabling test in *marking*."""
+        tokens = marking.tokens
         for place_idx, multiplicity in self.inputs:
-            if marking[place_idx] < multiplicity:
+            if tokens[place_idx] < multiplicity:
                 return False
         for place_idx, multiplicity in self.inhibitors:
-            if marking[place_idx] >= multiplicity:
+            if tokens[place_idx] >= multiplicity:
                 return False
         if self.guard is not None and not self.guard(marking):
             return False

@@ -168,6 +168,12 @@ def _explore(
     net.validate()
     start = initial if initial is not None else net.initial_marking()
     place_count = len(net.places)
+    # Built per exploration, not cached on the transitions: add_arc may
+    # change a transition's arcs between explorations.
+    deltas = {
+        transition.name: transition.firing_delta(place_count)
+        for transition in net.transitions
+    }
 
     index: dict[Marking, int] = {start: 0}
     markings: list[Marking] = [start]
@@ -189,7 +195,7 @@ def _explore(
         is_vanishing[current_idx] = vanishing
         out: list[tuple[int, float]] = []
         for transition in enabled:
-            successor = marking.with_delta(transition.firing_delta(place_count))
+            successor = marking.with_delta(deltas[transition.name])
             succ_idx = index.get(successor)
             if succ_idx is None:
                 succ_idx = len(markings)

@@ -102,18 +102,23 @@ class TestEnvelope:
             {"times": [float("inf")]},
             {"horizon": float("nan")},
             {"horizon": float("inf")},
+            {"times": [1e308]},
         ],
     )
     def test_bad_timeline_options_are_invalid_request(
         self, serial_service, options
     ):
-        """Rejected while parsing the envelope: 400, never 500/internal."""
+        """Rejected while parsing the envelope (or, for a time beyond the
+        uniformisation limit, before the first iterate): 400, never
+        500/internal, and fast."""
         _, client = serial_service
+        start = time.perf_counter()
         status, body = client.request(
             "POST",
             "/v1/timeline",
             {"space": {"roles": ["dns"], "max_replicas": 1}, "options": options},
         )
+        assert time.perf_counter() - start < 5.0
         assert status == 400
         assert body["error"]["code"] == "invalid_request"
 

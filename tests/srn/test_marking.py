@@ -74,5 +74,10 @@ class TestDelta:
         with pytest.raises(SrnError):
             marking.with_delta((-2, 0, 0))
 
+    def test_with_delta_on_zero_places(self):
+        moved = Marking({}, ()).with_delta(())
+        assert moved.tokens == ()
+        assert moved == Marking({}, ())
+
     def test_repr_shows_nonzero(self):
         assert "a=1" in repr(Marking(INDEX, (1, 0, 0)))

@@ -57,6 +57,26 @@ class TestTangibleOnly:
         with pytest.raises(StateSpaceError):
             explore(net, max_markings=1)
 
+    def test_arc_added_after_exploration_is_seen(self):
+        """Firing deltas are rebuilt per exploration, never stale."""
+        net = StochasticRewardNet()
+        net.add_place("p", tokens=1)
+        net.add_place("q")
+        net.add_place("r")
+        net.add_timed_transition("t1", rate=1.0)
+        net.add_arc("p", "t1")
+        net.add_arc("t1", "q")
+        net.add_timed_transition("t2", rate=1.0)
+        net.add_arc("q", "t2")
+        net.add_arc("t2", "p")
+        before = explore(net)
+        assert [m.tokens for m in before.tangible] == [(1, 0, 0), (0, 1, 0)]
+        net.add_arc("t1", "r")  # t1 now also marks r ...
+        net.add_arc("r", "t2")  # ... and t2 consumes it
+        after = explore(net)
+        assert [m.tokens for m in after.tangible] == [(1, 0, 0), (0, 1, 1)]
+        assert after.rates == {(0, 1): 1.0, (1, 0): 1.0}
+
 
 class TestVanishingElimination:
     def test_weighted_branch(self):

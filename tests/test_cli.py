@@ -3,8 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+import time
 
 import pytest
+
+import repro
 
 from repro.__main__ import main
 
@@ -285,6 +291,19 @@ class TestTimelineCli:
     def test_timeline_bad_grid_exits_2(self, capsys):
         assert main(["timeline", "--roles", "dns", "--points", "1"]) == 2
         assert main(["timeline", "--roles", "dns", "--times", "abc"]) == 2
+
+    @pytest.mark.parametrize(
+        "extra", [[], ["--phases", "canary:0.1:48,fleet:1.0"]]
+    )
+    def test_timeline_unbounded_time_exits_2(self, capsys, extra):
+        """A time needing ~1e308 uniformisation steps is rejected up front."""
+        start = time.perf_counter()
+        argv = ["timeline", "--roles", "dns", "--max-replicas", "1"]
+        assert main([*argv, "--times", "0,1e308", *extra]) == 2
+        assert time.perf_counter() - start < 5.0
+        err = capsys.readouterr().err
+        assert "timeline failed" in err and "Poisson mean" in err
+        assert "Traceback" not in err
 
     def test_timeline_empty_roles_exits_2(self, capsys):
         assert main(["timeline", "--roles", " , "]) == 2
@@ -743,3 +762,27 @@ class TestShardCli:
             == 2
         )
         assert "shard failed" in capsys.readouterr().err
+
+
+class TestHelpImports:
+    @pytest.mark.parametrize("argv", [["--help"], ["timeline", "--help"]])
+    def test_help_does_not_load_scipy(self, argv):
+        """``--help`` only builds the parser; the numeric stack stays out."""
+        script = (
+            "import runpy, sys\n"
+            f"sys.argv = ['repro', *{argv!r}]\n"
+            "try:\n"
+            "    runpy.run_module('repro', run_name='__main__', alter_sys=True)\n"
+            "except SystemExit as exc:\n"
+            "    assert exc.code == 0, exc.code\n"
+            "print('scipy' in sys.modules, file=sys.stderr)\n"
+        )
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert "usage:" in done.stdout
+        assert done.stderr.strip().splitlines()[-1] == "False"
